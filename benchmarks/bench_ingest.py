@@ -1,4 +1,4 @@
-"""Full-pipeline ingest benchmark: per-object vs. columnar block path.
+"""Full-pipeline ingest benchmark: object input vs. columnar block input.
 
 Builds a synthetic heavy-tailed backscatter log spanning several
 observation windows, replays it through the window + select stages of
@@ -6,15 +6,16 @@ observation windows, replays it through the window + select stages of
 {object, block} — with an optional sketch pre-stage variant of each,
 and writes ``BENCH_ingest.json``:
 
-* **object** — the historical path: a ``list[QueryLogEntry]`` fed
-  entry by entry (``windows`` / ``ingest_many``);
-* **block** — the array ingest plane: the same events as one
-  :class:`repro.logstore.EntryBlock` fed through the vectorized path
-  (``windows`` / ``ingest_block``), bit-identical by construction.
+* **object** — a ``list[QueryLogEntry]`` handed to the engine
+  (``windows`` / ``ingest_many``), which converts it to an
+  :class:`repro.logstore.EntryBlock` at the API boundary: the timing is
+  that conversion plus the block core;
+* **block** — the same events as one ``EntryBlock`` fed straight to the
+  columnar core (``windows`` / ``ingest_block``).
 
-Each mode reports events/s (best of ``--rounds`` timed runs); the
-batch modes also report peak incremental memory from a separate
-``tracemalloc`` run.  The emitted windows of every object/block pair
+Each mode reports events/s (best of ``--rounds`` timed runs after one
+untimed warm-up run); the batch modes also report peak incremental
+memory from a separate ``tracemalloc`` run.  The emitted windows of every object/block pair
 are compared observation by observation and the report records the
 verdict.  Run from the repo root::
 
@@ -137,8 +138,11 @@ def window_signature(windows: list) -> list:
 
 
 def timed(rounds: int, runner, *args):
+    """Best-of-*rounds* seconds and the last result, after one untimed
+    warm-up call: a cold first call pays one-time allocator and page-fault
+    costs that land on whichever mode happens to run first."""
     best = float("inf")
-    result = None
+    result = runner(*args)
     for _ in range(rounds):
         t0 = time.perf_counter()
         result = runner(*args)

@@ -15,7 +15,7 @@ from repro.activity import SimulationEngine, build_campaign
 from repro.dnssim import Authority, AuthorityLevel, DnsHierarchy, ResolverConfig
 from repro.experiments.common import format_rows
 from repro.netmodel import World, WorldConfig
-from repro.sensor.collection import collect_window
+from repro.sensor.engine import SensorEngine
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def _national_footprints(world, warmth: float, campaign) -> int:
     engine = SimulationEngine(world, hierarchy)
     engine.add(campaign)
     engine.run(0.0, 2 * 86400.0)
-    window = collect_window(list(sensor.log), 0.0, 2 * 86400.0)
+    window = SensorEngine().collect(sensor.log, 0.0, 2 * 86400.0)
     observation = window.observations.get(campaign.originator)
     return observation.footprint if observation else 0
 

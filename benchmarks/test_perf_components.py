@@ -14,8 +14,9 @@ from repro.dnssim import PtrRecordSpec, TtlCache
 from repro.dnssim.message import QueryLogEntry
 from repro.ml import ForestConfig, RandomForestClassifier
 from repro.netmodel import QuerierRole, World, WorldConfig
-from repro.sensor.collection import collect_window, dedup_entries
+from repro.logstore import EntryBlock, dedup_mask
 from repro.sensor.directory import WorldDirectory
+from repro.sensor.engine import SensorEngine
 from repro.sensor.features import extract_features
 
 
@@ -58,11 +59,12 @@ def test_perf_resolve_ptr(benchmark, perf_world):
 def test_perf_dedup(benchmark):
     rng = np.random.default_rng(0)
     times = np.sort(rng.uniform(0, 86400, 20_000))
-    entries = [
-        QueryLogEntry(timestamp=float(t), querier=int(rng.integers(500)), originator=7)
-        for t in times
-    ]
-    benchmark(dedup_entries, entries)
+    block = EntryBlock.from_arrays(
+        times, rng.integers(0, 500, times.size), np.full(times.size, 7)
+    )
+    benchmark(
+        dedup_mask, block.timestamps, block.queriers, block.originators, 30.0
+    )
 
 
 def test_perf_feature_extraction(benchmark, perf_world):
@@ -81,7 +83,7 @@ def test_perf_feature_extraction(benchmark, perf_world):
                 )
             )
     entries.sort(key=lambda e: e.timestamp)
-    window = collect_window(entries, 0.0, 86400.0)
+    window = SensorEngine().collect(entries, 0.0, 86400.0)
     benchmark(extract_features, window, directory, 20)
 
 

@@ -62,7 +62,6 @@ from repro.ml import (
 from repro.sensor import (
     ANALYZABLE_THRESHOLD,
     FEATURE_NAMES,
-    BackscatterPipeline,
     ClassifiedOriginator,
     EnrichmentCache,
     LabeledExample,
@@ -99,7 +98,6 @@ __all__ = [
     "SvmClassifier",
     "ANALYZABLE_THRESHOLD",
     "FEATURE_NAMES",
-    "BackscatterPipeline",
     "ClassifiedOriginator",
     "EnrichmentCache",
     "LabeledExample",

@@ -24,11 +24,10 @@ Subcommands:
 binary, anything else as the text format — and replay it through the
 array-native ingest plane as one :class:`~repro.logstore.EntryBlock`.
 
-The work-shaping flags are uniform across subcommands: ``--workers``
-fans the featurize stage out over processes wherever featurization
-happens, and ``--metrics-out PATH`` (with ``--metrics-format``)
-installs a :class:`repro.telemetry.MetricsRegistry` over the run and
-writes a snapshot when it finishes — Prometheus text or JSON lines.
+The telemetry flags are uniform across subcommands: ``--metrics-out
+PATH`` (with ``--metrics-format``) installs a
+:class:`repro.telemetry.MetricsRegistry` over the run and writes a
+snapshot when it finishes — Prometheus text or JSON lines.
 ``repro classify --stream --metrics-every N`` additionally snapshots
 every N sensed windows, the live-deployment cadence.  ``repro classify
 --sketch`` (with ``--sketch-width`` / ``--hll-precision``) runs the
@@ -62,17 +61,6 @@ __all__ = ["main"]
 
 
 # -- shared option groups -------------------------------------------------
-
-
-def add_workers_option(parser: argparse.ArgumentParser) -> None:
-    """The featurize fan-out knob, identical on every subcommand."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="featurize worker processes (1 = serial; results are "
-        "bit-identical either way)",
-    )
 
 
 def add_sketch_options(parser: argparse.ArgumentParser) -> None:
@@ -250,7 +238,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             window_seconds=end - start,
             origin=start,
             min_queriers=args.min_queriers,
-            featurize_workers=args.workers,
             **_sketch_overrides(args),
         ),
         registry=registry,
@@ -369,7 +356,6 @@ def _classify_stream(
         window_seconds=args.window,
         origin=start,
         min_queriers=args.min_queriers,
-        featurize_workers=args.workers,
         **_sketch_overrides(args),
     )
     if args.shards > 1:
@@ -458,7 +444,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             window_seconds=end - start,
             origin=start,
             min_queriers=args.min_queriers,
-            featurize_workers=args.workers,
             **_sketch_overrides(args),
         ),
         registry=registry,
@@ -475,7 +460,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             window_seconds=args.window,
             origin=start,
             min_queriers=args.min_queriers,
-            featurize_workers=args.workers,
             **_sketch_overrides(args),
         ),
         host=args.host,
@@ -561,8 +545,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.viz import render_all
 
-    if args.workers > 1:
-        os.environ["REPRO_FEATURIZE_WORKERS"] = str(args.workers)
     registry = _registry_for(args)
     with use_registry(registry):
         written = render_all(args.output, preset=args.preset)
@@ -576,11 +558,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.__main__ import main as experiments_main
 
     # The experiment modules share in-process caches keyed by dataset,
-    # not by knob, so the work-shaping flags travel as the environment
-    # variables the harness already reads (REPRO_FEATURIZE_WORKERS,
-    # REPRO_METRICS_OUT / REPRO_METRICS_FORMAT).
-    if args.workers > 1:
-        os.environ["REPRO_FEATURIZE_WORKERS"] = str(args.workers)
+    # not by knob, so the telemetry flags travel as the environment
+    # variables the harness already reads (REPRO_METRICS_OUT /
+    # REPRO_METRICS_FORMAT).
     if args.metrics_out:
         os.environ["REPRO_METRICS_OUT"] = args.metrics_out
         if args.metrics_format:
@@ -654,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(batch only)",
     )
     add_sketch_options(classify)
-    add_workers_option(classify)
     add_metrics_options(classify, streaming=True)
     classify.set_defaults(func=_cmd_classify)
 
@@ -674,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures = commands.add_parser("figures", help="render paper figures as SVG")
     figures.add_argument("-o", "--output", default="figures")
     figures.add_argument("--preset", default="default", choices=("default", "tiny"))
-    add_workers_option(figures)
     add_metrics_options(figures)
     figures.set_defaults(func=_cmd_figures)
 
@@ -731,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         "until SIGTERM (smoke tests)",
     )
     add_sketch_options(serve)
-    add_workers_option(serve)
     add_metrics_options(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -739,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("names", nargs="*", help="experiment names")
     experiments.add_argument("--list", action="store_true")
     experiments.add_argument("--all-cheap", action="store_true")
-    add_workers_option(experiments)
     add_metrics_options(experiments)
     experiments.set_defaults(func=_cmd_experiments)
     return parser

@@ -25,7 +25,6 @@ from repro.sensor.features import FeatureSet
 __all__ = [
     "LabeledFeatures",
     "sensor_config",
-    "featurize_workers",
     "federation_shards",
     "sketch_overrides",
     "labeled_features",
@@ -88,24 +87,9 @@ def sensor_config(name: str, preset: str = "default", **overrides) -> SensorConf
     config = SensorConfig(
         window_seconds=window_days * SECONDS_PER_DAY,
         min_queriers=MIN_QUERIERS.get(name, 20),
-        featurize_workers=featurize_workers(),
         **sketch_overrides(),
     )
     return config.replaced(**overrides) if overrides else config
-
-
-def featurize_workers() -> int:
-    """Featurize worker-process count, from ``REPRO_FEATURIZE_WORKERS``.
-
-    Experiments run many windows back to back, so the knob is an
-    environment variable rather than a per-experiment argument; results
-    are bit-identical regardless of the value.  Unset or invalid → 1
-    (serial).
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_FEATURIZE_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _env_int(name: str, default: int) -> int:
@@ -134,8 +118,8 @@ def sketch_overrides() -> dict:
     every experiment-built :class:`SensorConfig`;
     ``REPRO_SKETCH_WIDTH`` / ``REPRO_SKETCH_DEPTH`` /
     ``REPRO_SKETCH_HLL_PRECISION`` tune its geometry.  Like
-    ``REPRO_FEATURIZE_WORKERS``, these travel as environment variables
-    because the experiment caches are keyed by dataset, not by knob.
+    ``REPRO_SHARDS``, these travel as environment variables because the
+    experiment caches are keyed by dataset, not by knob.
     Unset (or ``REPRO_SKETCH`` falsy) → no overrides.
     """
     if os.environ.get("REPRO_SKETCH", "").lower() not in ("1", "true", "yes", "on"):

@@ -98,8 +98,8 @@ class FederatedSensor:
         stage.
     config:
         The deployment's :class:`~repro.sensor.engine.SensorConfig`.
-        Shards run it with ``featurize_workers=1`` and
-        ``reorder_slack=0`` (the driver owns both fan-out and reorder).
+        Shards run it with ``reorder_slack=0`` (the driver owns
+        reordering).
     n_shards:
         Shard worker count (1 is allowed and useful for testing).
     registry:

@@ -3,8 +3,8 @@
 A :class:`ShardWorker` owns a :class:`~repro.sensor.engine.SensorEngine`
 configured with ``reorder_slack=0`` (the driver's
 :class:`~repro.federation.partition.ReorderFront` resolves reordering
-globally) and ``featurize_workers=1`` (the federation's parallelism *is*
-the shard fan-out).  It exposes exactly the calls the driver's two-phase
+globally).  The shard fan-out is the sensor's one home for parallelism.
+It exposes exactly the calls the driver's two-phase
 window protocol needs:
 
 1. **feed/close** — ingest released arrays, advance to the global
@@ -20,8 +20,7 @@ window protocol needs:
    own observation plus the shared context, shard rows are bit-identical
    to the rows a single engine computes for the same originators.
 
-Process fan-out mirrors the featurize-workers pattern: one single-worker
-fork-context executor per shard, the worker object inherited through
+Process fan-out: one single-worker fork-context executor per shard, the worker object inherited through
 fork (never pickled), tasks shipping only flat arrays and index/context
 tuples.  :class:`ShardPool` falls back to inline (same-process) workers
 where fork is unavailable; results are identical either way.
@@ -93,7 +92,7 @@ class ShardWorker:
         config: SensorConfig,
     ) -> None:
         self.shard_id = shard_id
-        self.config = config.replaced(featurize_workers=1, reorder_slack=0.0)
+        self.config = config.replaced(reorder_slack=0.0)
         # One persistent enrichment cache per shard: context partials and
         # featurize share lookups, exactly like a single engine's
         # per-window cache (enrichment is deterministic per address, so
@@ -174,7 +173,7 @@ class ShardWorker:
         prestage = window.prestage
         items_in = len(window) if prestage is None else prestage.originators_seen
         features = features_from_selected(
-            window, selected, self.directory, workers=1, context=context
+            window, selected, self.directory, context=context
         )
         sketch = None
         if prestage is not None:

@@ -9,8 +9,6 @@ from repro.sensor.collection import (
     DEDUP_WINDOW_SECONDS,
     ObservationWindow,
     OriginatorObservation,
-    collect_window,
-    dedup_entries,
 )
 from repro.sensor.curation import (
     MIN_EXAMPLES_PER_CLASS,
@@ -29,10 +27,12 @@ from repro.sensor.directory import (
 )
 from repro.sensor.engine import (
     STAGE_NAMES,
+    ClassifiedOriginator,
     SensedWindow,
     SensorConfig,
     SensorEngine,
     StageStats,
+    default_forest_factory,
 )
 from repro.sensor.dynamic import (
     DYNAMIC_FEATURE_NAMES,
@@ -54,11 +54,6 @@ from repro.sensor.keywords import (
     SUFFIX_CATEGORIES,
     classify_name,
     classify_querier,
-)
-from repro.sensor.pipeline import (
-    BackscatterPipeline,
-    ClassifiedOriginator,
-    default_forest_factory,
 )
 from repro.sensor.report import WindowReport, build_report, render_report
 from repro.sensor.selection import (
@@ -86,8 +81,6 @@ __all__ = [
     "DEDUP_WINDOW_SECONDS",
     "ObservationWindow",
     "OriginatorObservation",
-    "collect_window",
-    "dedup_entries",
     "MIN_EXAMPLES_PER_CLASS",
     "MIN_TOTAL_EXAMPLES",
     "LabeledExample",
@@ -114,7 +107,6 @@ __all__ = [
     "SUFFIX_CATEGORIES",
     "classify_name",
     "classify_querier",
-    "BackscatterPipeline",
     "ClassifiedOriginator",
     "default_forest_factory",
     "STAGE_NAMES",

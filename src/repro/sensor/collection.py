@@ -1,4 +1,4 @@
-"""Query-log collection: dedup and per-originator grouping (§ III-A/B/C).
+"""Query-log collection value types: per-originator grouping (§ III-A/B/C).
 
 Raw authority logs contain bursts of duplicate queries from queriers that
 ignore DNS timeout rules; the paper "eliminate[s] duplicate queries from
@@ -6,59 +6,30 @@ the same querier in a 30 s window" to avoid skewing query-rate estimates.
 After dedup, entries are grouped into one :class:`OriginatorObservation`
 per originator over the observation interval — the unit the feature
 extractor consumes.
+
+The dedup and windowing themselves run in one place, the columnar core
+of :class:`repro.sensor.streaming.StreamingCollector` (batch callers use
+:meth:`repro.sensor.engine.SensorEngine.collect`; raw columns can be
+deduplicated directly with :func:`repro.logstore.dedup_mask`).
 """
 
 from __future__ import annotations
 
-
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.dnssim.message import QueryLogEntry
-
 if TYPE_CHECKING:
-    from repro.logstore import EntryBlock
     from repro.sketch.prestage import SketchPreStage
 
 __all__ = [
     "DEDUP_WINDOW_SECONDS",
-    "dedup_entries",
     "OriginatorObservation",
     "ObservationWindow",
-    "collect_window",
 ]
 
 DEDUP_WINDOW_SECONDS = 30.0
-
-
-def dedup_entries(
-    entries: list[QueryLogEntry], window: float = DEDUP_WINDOW_SECONDS
-) -> list[QueryLogEntry]:
-    """Drop repeats of the same (querier, originator) within *window* seconds.
-
-    Entries must be in non-decreasing timestamp order (authority logs are
-    append-ordered).  The first query of each burst is kept; a repeat is
-    dropped when it falls strictly within *window* of the last *kept*
-    query for that pair, matching rate-limiting semantics.
-    """
-    if window < 0:
-        raise ValueError("window must be non-negative")
-    kept: list[QueryLogEntry] = []
-    last_kept: dict[tuple[int, int], float] = {}
-    previous_ts = float("-inf")
-    for entry in entries:
-        if entry.timestamp < previous_ts:
-            raise ValueError("entries are not time-ordered")
-        previous_ts = entry.timestamp
-        key = (entry.querier, entry.originator)
-        last = last_kept.get(key)
-        if last is not None and entry.timestamp - last < window:
-            continue
-        last_kept[key] = entry.timestamp
-        kept.append(entry)
-    return kept
 
 
 @dataclass(slots=True)
@@ -182,47 +153,3 @@ def extend_window_arrays(
             observation = OriginatorObservation(originator=originator)
             observations[originator] = observation
         observation.extend_lists(ts_sorted[lo:hi], qs_sorted[lo:hi])
-
-
-def collect_window(
-    entries: "Iterable[QueryLogEntry] | EntryBlock",
-    start: float,
-    end: float,
-    dedup_window: float = DEDUP_WINDOW_SECONDS,
-) -> ObservationWindow:
-    """Build an :class:`ObservationWindow` from raw log entries.
-
-    Filters to ``start <= t < end``, dedups, then groups by originator —
-    as pure array math over the columnar form.  *entries* may be an
-    :class:`~repro.logstore.EntryBlock` (used as-is) or any iterable of
-    :class:`QueryLogEntry` (converted in bounded chunks).
-
-    In-range entries must be in non-decreasing timestamp order; order is
-    validated **before** any state is built, so a failed call leaves no
-    partial window behind.  The dedup semantics are the canonical ones
-    shared with :class:`repro.sensor.streaming.StreamingCollector`, via
-    :func:`repro.logstore.dedup_mask` (bit-identical to
-    :func:`dedup_entries`, pinned by property tests).
-    """
-    from repro.logstore import EntryBlock, dedup_mask
-
-    if end <= start:
-        raise ValueError("end must be after start")
-    if dedup_window < 0:
-        raise ValueError("dedup_window and reorder_slack must be non-negative")
-    block = entries if isinstance(entries, EntryBlock) else EntryBlock.from_entries(entries)
-    ts = block.timestamps
-    in_range = (ts >= start) & (ts < end)
-    timestamps = ts[in_range]
-    window = ObservationWindow(start=start, end=end)
-    if timestamps.size == 0:
-        return window
-    if np.any(timestamps[1:] < timestamps[:-1]):
-        raise ValueError("entries are not time-ordered")
-    queriers = block.queriers[in_range]
-    originators = block.originators[in_range]
-    mask, _ = dedup_mask(timestamps, queriers, originators, dedup_window)
-    extend_window_arrays(
-        window, timestamps[mask], queriers[mask], originators[mask]
-    )
-    return window

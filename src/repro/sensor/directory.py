@@ -99,13 +99,11 @@ class ResolvedQuerier:
 def enrich_chunk(
     directory: QuerierDirectory, addrs: Sequence[int] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Classify a chunk of addresses against *directory* (worker side).
+    """Classify a chunk of addresses against *directory*.
 
     Returns ``(category indices, ASNs, country codes, country table)``
     aligned with *addrs*: ASN is ``-1`` for unknown, country codes index
-    into the chunk-local *country table* (``-1`` unknown).  Compact int
-    arrays pickle as raw buffers, so this is the unit of work the
-    parallel featurize path ships between processes;
+    into the chunk-local *country table* (``-1`` unknown);
     :meth:`EnrichmentCache.prime_arrays` installs the result.
     """
     if isinstance(addrs, np.ndarray):
@@ -303,7 +301,7 @@ class EnrichmentCache:
         country_codes: np.ndarray,
         countries: list[str],
     ) -> None:
-        """Install a chunk of externally resolved queriers (worker results).
+        """Install a chunk of resolved queriers (one :func:`enrich_chunk` result).
 
         Arguments are exactly one :func:`enrich_chunk` result plus the
         addresses it covered; *country_codes* are remapped from the

@@ -11,10 +11,13 @@ Stages, mapped to the paper:
 
 ========== ============================================================
 ingest     § III-A — accept (timestamp, querier, originator) tuples,
-           validate ordering / drop strictly-late arrivals
+           validate ordering / drop strictly-late arrivals and
+           non-finite timestamps
 window     § III-A/B — 30 s per-(querier, originator) dedup + grouping
-           into observation intervals (:class:`StreamingCollector` is
-           the single implementation; batch calls adapt onto it)
+           into observation intervals (:class:`StreamingCollector`'s
+           columnar core is the single implementation; object input is
+           converted to an :class:`~repro.logstore.EntryBlock` at the
+           API boundary)
 select     § III-B — keep analyzable originators (>= ``min_queriers``
            unique queriers)
 featurize  § III-C/D — the 14 static + 8 dynamic features per selected
@@ -47,8 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -121,12 +123,6 @@ class SensorConfig:
     """Builds a classifier from a seed; defaults to the paper's RF."""
     seed: int = 0
     """Base seed for the majority-vote classifier runs."""
-    featurize_workers: int = 1
-    """Process-pool workers for the featurize stage (1 = serial).
-
-    Chunked by originator, so the parallel output is bit-identical to
-    the serial path (see :func:`repro.sensor.features.features_from_selected`).
-    """
     sketch_enabled: bool = False
     """Run the probabilistic pre-select stage (:mod:`repro.sketch`).
 
@@ -168,8 +164,6 @@ class SensorConfig:
             raise ValueError("min_queriers must be positive")
         if self.majority_runs < 1:
             raise ValueError("majority_runs must be positive")
-        if self.featurize_workers < 1:
-            raise ValueError("featurize_workers must be positive")
         if self.sketch_width < 1:
             raise ValueError("sketch_width must be positive")
         if self.sketch_depth < 1:
@@ -276,11 +270,12 @@ class SensorEngine:
     Batch and streaming are the same pipeline.  Batch calls
     (:meth:`process`, :meth:`windows`, :meth:`collect`) run a whole
     time-ordered log through a fresh collector; streaming calls
-    (:meth:`ingest`, :meth:`poll`, :meth:`finish`) feed a persistent one
-    and hand back windows as the watermark closes them.  Both paths use
-    :class:`~repro.sensor.streaming.StreamingCollector` as the single
-    windowing/dedup implementation and record per-stage
-    :class:`StageStats` (see :meth:`accounting`).
+    (:meth:`ingest_block`, :meth:`poll`, :meth:`finish`) feed a
+    persistent one and hand back windows as the watermark closes them.
+    Both paths run :class:`~repro.sensor.streaming.StreamingCollector`'s
+    columnar core — object input becomes an
+    :class:`~repro.logstore.EntryBlock` on the way in — and record
+    per-stage :class:`StageStats` (see :meth:`accounting`).
     """
 
     def __init__(
@@ -337,7 +332,7 @@ class SensorEngine:
         """Ambient-registry scope for one engine operation.
 
         Makes an explicitly-passed registry visible to the instrumented
-        internals (enrichment cache, featurize fan-out, classifier)
+        internals (enrichment cache, classifier)
         without widening their signatures; with ``registry=None`` the
         scope keeps whatever is ambient (possibly nothing).
         """
@@ -431,37 +426,23 @@ class SensorEngine:
             prestage_factory=factory,
         )
 
-    def ingest(self, entry: QueryLogEntry) -> None:
-        """Feed one live entry (streaming path).
-
-        Feed time — validation, dedup, and windowing work triggered by
-        the entry's arrival — is ingest-stage time; window-stage time is
-        only accrued when windows are closed (:meth:`poll` /
-        :meth:`finish`), so no wall second is counted twice.
-        """
-        with self._scope(), span("stage.ingest") as sp:
-            self.collector.ingest(entry)
-        self.stats["ingest"].seconds += sp.elapsed
-
-    def ingest_many(self, entries: Iterable[QueryLogEntry]) -> None:
-        """Feed a chunk of live entries (streaming path)."""
-        with self._scope(), span("stage.ingest") as sp:
-            self.collector.ingest_many(entries)
-        self.stats["ingest"].seconds += sp.elapsed
-
     def ingest_block(self, block: EntryBlock) -> None:
         """Feed one columnar block of live entries (streaming path).
 
-        The vectorized counterpart of :meth:`ingest_many`: the block's
-        columns run through the collector's array core
-        (:meth:`~repro.sensor.streaming.StreamingCollector.ingest_block`),
-        with identical semantics to feeding the same entries one by one.
+        Feed time — validation, dedup, and windowing work triggered by
+        the block's arrival — is ingest-stage time; window-stage time is
+        only accrued when windows are closed (:meth:`poll` /
+        :meth:`finish`), so no wall second is counted twice.
         """
         with self._scope():
             with span("stage.ingest") as sp:
                 self.collector.ingest_block(block)
             self.stats["ingest"].seconds += sp.elapsed
             self._emit_block_metrics(block, path="stream")
+
+    def ingest_many(self, entries: Iterable[QueryLogEntry]) -> None:
+        """Feed a chunk of live entry objects (streaming path), as one block."""
+        self.ingest_block(EntryBlock.from_entries(entries))
 
     def _emit_block_metrics(self, block: EntryBlock, path: str) -> None:
         """Publish ``repro_ingest_*`` block telemetry (registry in scope)."""
@@ -522,14 +503,16 @@ class SensorEngine:
             late_dropped=current.late_dropped - self._absorbed.late_dropped,
             reordered=current.reordered - self._absorbed.reordered,
             windows_emitted=current.windows_emitted - self._absorbed.windows_emitted,
+            rejected=current.rejected - self._absorbed.rejected,
         )
         self._absorbed = replace(current)
-        accepted = delta.ingested - delta.late_dropped
+        dropped = delta.late_dropped + delta.rejected
+        accepted = delta.ingested - dropped
         self._record_stage(
             "ingest",
             items_in=delta.ingested,
             items_out=accepted,
-            dropped=delta.late_dropped,
+            dropped=dropped,
         )
         self._record_stage(
             "window",
@@ -540,6 +523,8 @@ class SensorEngine:
         if get_registry() is not None:
             count("repro_stream_late_dropped_total", delta.late_dropped,
                   help="Entries dropped as later than the reorder slack.")
+            count("repro_stream_rejected_total", delta.rejected,
+                  help="Entries rejected for a non-finite timestamp.")
             count("repro_stream_deduplicated_total", delta.deduplicated,
                   help="Entries suppressed by the 30s per-pair dedup.")
             count("repro_stream_reordered_total", delta.reordered,
@@ -553,9 +538,9 @@ class SensorEngine:
     def _block_in_range(block: EntryBlock, start: float, end: float) -> EntryBlock:
         """In-range sub-block, order-validated before any state is built.
 
-        Mirrors the object path's contract: only the entries inside
-        ``[start, end)`` must be time-ordered, and a failed validation
-        raises before the collector sees anything.
+        Only the entries inside ``[start, end)`` must be time-ordered,
+        and a failed validation raises before the collector sees
+        anything.
         """
         sub = block.slice_time(start, end)
         if not sub.is_sorted:
@@ -564,7 +549,7 @@ class SensorEngine:
 
     def windows(
         self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry] | EntryBlock,
+        entries: Iterable[QueryLogEntry] | EntryBlock,
         start: float,
         end: float,
         window_seconds: float | None = None,
@@ -578,272 +563,64 @@ class SensorEngine:
         analyses expect.  Out-of-order input raises (batch logs are
         append-ordered); use the streaming path for live reordering.
 
-        *entries* may be an :class:`~repro.logstore.EntryBlock`, in
-        which case the whole pipeline runs as array math (searchsorted
-        range slicing, vectorized dedup, observations extended from
-        column slices) and produces bit-identical windows to the
-        per-object path.
+        *entries* may be an :class:`~repro.logstore.EntryBlock` or any
+        iterable of :class:`QueryLogEntry`, which is converted to one
+        (as ingest-stage time) before the pipeline runs as array math:
+        searchsorted range slicing, vectorized dedup, observations
+        extended from column slices.
+
+        In sketch mode (``config.sketch_enabled``) an approximate gate
+        runs first: every in-range event streams through one
+        window-scoped :class:`~repro.sketch.prestage.SketchPreStage`
+        (select-stage time — it *is* the approximate select), and only
+        gate-survivor events reach the exact collector, so survivor
+        observations — and their feature rows — are bit-identical to the
+        exact path.  Gated-out events are window-stage drops.
         """
         if end <= start:
             raise ValueError("end must be after start")
         width = self.config.window_seconds if window_seconds is None else window_seconds
         if width <= 0:
             raise ValueError("window_seconds must be positive")
-        if self.config.sketch_enabled:
-            return self._windows_sketch(entries, start, end, width)
+        sketch = self.config.sketch_enabled
         collector = StreamingCollector(
             window_seconds=width,
             origin=start,
             dedup_window=self.config.dedup_window,
             reorder_slack=0.0,
         )
+        prestages: dict[int, SketchPreStage] = {}
+        gated_events = 0
         with self._scope():
             # Feeding entries (validation + dedup as they arrive) is
             # ingest time; closing and assembling windows is window
             # time — each wall second lands in exactly one stage.
             with span("stage.ingest") as ingest_span:
-                if isinstance(entries, EntryBlock):
-                    ingested = len(entries)
-                    sub = self._block_in_range(entries, start, end)
-                    dropped = ingested - len(sub)
-                    collector.ingest_block(sub)
-                    self._emit_block_metrics(sub, path="batch")
-                else:
-                    ingested = dropped = 0
-                    previous_ts = float("-inf")
-                    for entry in entries:
-                        ingested += 1
-                        if not start <= entry.timestamp < end:
-                            dropped += 1
-                            continue
-                        if entry.timestamp < previous_ts:
-                            raise ValueError("entries are not time-ordered")
-                        previous_ts = entry.timestamp
-                        collector.ingest(entry)
-            with span("stage.window") as window_span:
-                emitted = {
-                    self._index_of(window.start, start, width): window
-                    for window in collector.flush()
-                }
-                windows: list[ObservationWindow] = []
-                index = 0
-                window_start = start
-                while window_start < end:
-                    window_end = min(window_start + width, end)
-                    window = emitted.get(
-                        index, ObservationWindow(start=window_start, end=window_end)
-                    )
-                    window.end = window_end
-                    windows.append(window)
-                    index += 1
-                    window_start = window_start + width
-            accepted = ingested - dropped
-            self._record_stage(
-                "ingest",
-                items_in=ingested,
-                items_out=accepted,
-                dropped=dropped,
-                seconds=ingest_span.elapsed,
-            )
-            self._record_stage(
-                "window",
-                items_in=accepted,
-                items_out=len(windows),
-                dropped=collector.stats.deduplicated,
-                seconds=window_span.elapsed,
-            )
-        return windows
-
-    def _windows_sketch(
-        self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry],
-        start: float,
-        end: float,
-        width: float,
-    ) -> list[ObservationWindow]:
-        """Sketch-mode :meth:`windows`: approximate gate, then exact pass.
-
-        Pass 1 streams every in-range event through one window-scoped
-        :class:`~repro.sketch.prestage.SketchPreStage` (vectorized) and
-        reads the approximate-gate survivors.  Pass 2 runs only survivor
-        events through the unchanged exact collector, so survivor
-        observations — and therefore their feature rows — are
-        bit-identical to the exact path.  Gated-out events are window-
-        stage drops; pass-1 wall time is select-stage time (it *is* the
-        approximate select).
-        """
-        if isinstance(entries, EntryBlock):
-            return self._windows_sketch_block(entries, start, end, width)
-        params = self.config.sketch_params()
-        with self._scope():
-            with span("stage.ingest") as ingest_span:
-                # A boolean in-range mask over the input sequence (1 byte
-                # per event) instead of a copied entry-reference list —
-                # pass 2 re-reads survivors straight off *entries*.
-                if not isinstance(entries, Sequence):
-                    entries = list(entries)
-                ingested = len(entries)
-                in_range = np.zeros(ingested, dtype=bool)
-                previous_ts = float("-inf")
-                for j, entry in enumerate(entries):
-                    if not start <= entry.timestamp < end:
-                        continue
-                    if entry.timestamp < previous_ts:
-                        raise ValueError("entries are not time-ordered")
-                    previous_ts = entry.timestamp
-                    in_range[j] = True
-                n = int(in_range.sum())
-                dropped = ingested - n
-            with span("stage.select") as select_span:
-                timestamps = np.fromiter(
-                    (e.timestamp for e in compress(entries, in_range)), np.float64, n
+                block = (
+                    entries if isinstance(entries, EntryBlock)
+                    else EntryBlock.from_entries(entries)
                 )
-                queriers = np.fromiter(
-                    (e.querier for e in compress(entries, in_range)), np.int64, n
-                )
-                originators = np.fromiter(
-                    (e.originator for e in compress(entries, in_range)), np.int64, n
-                )
-                # Entries are time-ordered, so window indices are
-                # non-decreasing and each window is a contiguous slice.
-                indices = ((timestamps - start) // width).astype(np.int64)
-                uniq, bounds = np.unique(indices, return_index=True)
-                bounds = np.append(bounds, n)
-                prestages: dict[int, SketchPreStage] = {}
-                survivor_mask = np.zeros(n, dtype=bool)
-                for k, window_index in enumerate(uniq):
-                    lo, hi = int(bounds[k]), int(bounds[k + 1])
-                    prestage = SketchPreStage(params)
-                    prestage.exact_observations = True
-                    prestage.observe_batch(
-                        timestamps[lo:hi], queriers[lo:hi], originators[lo:hi]
-                    )
-                    prestages[int(window_index)] = prestage
-                    survivor_mask[lo:hi] = np.isin(
-                        originators[lo:hi], prestage.survivors()
-                    )
-                gated_events = int(n - int(survivor_mask.sum()))
-                # Expand the (in-range-relative) survivor mask back over
-                # the full input sequence, then drop pass 1's whole-log
-                # arrays — dead weight during the exact pass — so
-                # sketch-mode peak memory stays bounded by survivor
-                # state, not log size.
-                in_range[in_range] = survivor_mask
-                del timestamps, queriers, originators, indices, survivor_mask
-            collector = StreamingCollector(
-                window_seconds=width,
-                origin=start,
-                dedup_window=self.config.dedup_window,
-                reorder_slack=0.0,
-            )
-            with span("stage.window") as window_span:
-                for entry in compress(entries, in_range):
-                    collector.ingest(entry)
-                del in_range
-                emitted = {
-                    self._index_of(window.start, start, width): window
-                    for window in collector.flush()
-                }
-                windows: list[ObservationWindow] = []
-                index = 0
-                window_start = start
-                while window_start < end:
-                    window_end = min(window_start + width, end)
-                    window = emitted.get(
-                        index, ObservationWindow(start=window_start, end=window_end)
-                    )
-                    window.end = window_end
-                    prestage = prestages.get(index)
-                    if prestage is not None:
-                        window.prestage = prestage
-                        window.querier_roster = prestage.roster_array()
-                    windows.append(window)
-                    index += 1
-                    window_start = window_start + width
-            accepted = ingested - dropped
-            self._record_stage(
-                "ingest",
-                items_in=ingested,
-                items_out=accepted,
-                dropped=dropped,
-                seconds=ingest_span.elapsed,
-            )
-            # Item accounting for the select stage happens per window at
-            # featurize time (where the exact gate also runs); pass 1
-            # contributes its wall time here.
-            self._record_stage("select", seconds=select_span.elapsed)
-            self._record_stage(
-                "window",
-                items_in=accepted,
-                items_out=len(windows),
-                dropped=collector.stats.deduplicated + gated_events,
-                seconds=window_span.elapsed,
-            )
-            if get_registry() is not None:
-                count(
-                    "repro_sketch_events_total", gated_events,
-                    help="Events through the sketch pre-stage, by outcome.",
-                    result="gated",
-                )
-        return windows
-
-    def _windows_sketch_block(
-        self,
-        block: EntryBlock,
-        start: float,
-        end: float,
-        width: float,
-    ) -> list[ObservationWindow]:
-        """Sketch-mode :meth:`windows` over a columnar block.
-
-        The pre-stage's ``observe_batch`` consumes the block's columns
-        directly — no per-event object traffic at all — and pass 2 feeds
-        the survivor column slices through the collector's array core.
-        Survivor observations stay bit-identical to the exact path.
-        """
-        params = self.config.sketch_params()
-        with self._scope():
-            with span("stage.ingest") as ingest_span:
                 ingested = len(block)
                 sub = self._block_in_range(block, start, end)
-                n = len(sub)
-                dropped = ingested - n
-                timestamps = sub.timestamps
-                queriers = sub.queriers
-                originators = sub.originators
                 self._emit_block_metrics(sub, path="batch")
-            with span("stage.select") as select_span:
-                # Entries are time-ordered, so window indices are
-                # non-decreasing and each window is a contiguous slice.
-                indices = ((timestamps - start) // width).astype(np.int64)
-                uniq, bounds = np.unique(indices, return_index=True)
-                bounds = np.append(bounds, n)
-                prestages: dict[int, SketchPreStage] = {}
-                survivor_mask = np.zeros(n, dtype=bool)
-                for k, window_index in enumerate(uniq):
-                    lo, hi = int(bounds[k]), int(bounds[k + 1])
-                    prestage = SketchPreStage(params)
-                    prestage.exact_observations = True
-                    prestage.observe_batch(
-                        timestamps[lo:hi], queriers[lo:hi], originators[lo:hi]
-                    )
-                    prestages[int(window_index)] = prestage
-                    survivor_mask[lo:hi] = np.isin(
-                        originators[lo:hi], prestage.survivors()
-                    )
-                gated_events = int(n - int(survivor_mask.sum()))
-            collector = StreamingCollector(
-                window_seconds=width,
-                origin=start,
-                dedup_window=self.config.dedup_window,
-                reorder_slack=0.0,
-            )
+                if not sketch:
+                    collector.ingest_block(sub)
+            accepted = len(sub)
+            if sketch:
+                with span("stage.select") as select_span:
+                    survivors, prestages = self._sketch_gate(sub, start, width)
+                gated_events = accepted - int(np.count_nonzero(survivors))
+                # Item accounting for the select stage happens per window
+                # at featurize time (where the exact gate also runs);
+                # the approximate gate contributes its wall time here.
+                self._record_stage("select", seconds=select_span.elapsed)
             with span("stage.window") as window_span:
-                collector.ingest_arrays(
-                    timestamps[survivor_mask],
-                    queriers[survivor_mask],
-                    originators[survivor_mask],
-                )
+                if sketch:
+                    collector.ingest_arrays(
+                        sub.timestamps[survivors],
+                        sub.queriers[survivors],
+                        sub.originators[survivors],
+                    )
                 emitted = {
                     self._index_of(window.start, start, width): window
                     for window in collector.flush()
@@ -864,15 +641,13 @@ class SensorEngine:
                     windows.append(window)
                     index += 1
                     window_start = window_start + width
-            accepted = ingested - dropped
             self._record_stage(
                 "ingest",
                 items_in=ingested,
                 items_out=accepted,
-                dropped=dropped,
+                dropped=ingested - accepted,
                 seconds=ingest_span.elapsed,
             )
-            self._record_stage("select", seconds=select_span.elapsed)
             self._record_stage(
                 "window",
                 items_in=accepted,
@@ -880,13 +655,43 @@ class SensorEngine:
                 dropped=collector.stats.deduplicated + gated_events,
                 seconds=window_span.elapsed,
             )
-            if get_registry() is not None:
+            if sketch and get_registry() is not None:
                 count(
                     "repro_sketch_events_total", gated_events,
                     help="Events through the sketch pre-stage, by outcome.",
                     result="gated",
                 )
         return windows
+
+    def _sketch_gate(
+        self, block: EntryBlock, start: float, width: float
+    ) -> tuple[np.ndarray, dict[int, SketchPreStage]]:
+        """Sketch mode's approximate gate over a time-ordered block.
+
+        Returns the survivor mask over *block* and the batch-mode
+        pre-stage of each non-empty window, keyed by window index.
+        """
+        params = self.config.sketch_params()
+        timestamps = block.timestamps
+        queriers = block.queriers
+        originators = block.originators
+        # Entries are time-ordered, so window indices are non-decreasing
+        # and each window is a contiguous slice.
+        indices = ((timestamps - start) // width).astype(np.int64)
+        uniq, bounds = np.unique(indices, return_index=True)
+        bounds = np.append(bounds, len(block))
+        prestages: dict[int, SketchPreStage] = {}
+        survivors = np.zeros(len(block), dtype=bool)
+        for k, window_index in enumerate(uniq.tolist()):
+            lo, hi = int(bounds[k]), int(bounds[k + 1])
+            prestage = SketchPreStage(params)
+            prestage.exact_observations = True
+            prestage.observe_batch(
+                timestamps[lo:hi], queriers[lo:hi], originators[lo:hi]
+            )
+            prestages[window_index] = prestage
+            survivors[lo:hi] = np.isin(originators[lo:hi], prestage.survivors())
+        return survivors, prestages
 
     @staticmethod
     def _index_of(window_start: float, origin: float, width: float) -> int:
@@ -894,7 +699,7 @@ class SensorEngine:
 
     def collect(
         self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry] | EntryBlock,
+        entries: Iterable[QueryLogEntry] | EntryBlock,
         start: float,
         end: float,
     ) -> ObservationWindow:
@@ -908,11 +713,10 @@ class SensorEngine:
     ) -> FeatureSet:
         """Select analyzable originators and extract their features.
 
-        Runs serial (vectorized + window-scoped enrichment cache) by
-        default; with ``config.featurize_workers > 1`` the rows fan out
-        over a process pool, bit-identical to serial.  Observations whose
-        queriers all deduplicated away are skipped and accounted as
-        featurize-stage drops rather than raising out of :meth:`poll`.
+        Vectorized over all rows with a window-scoped enrichment cache.
+        Observations whose queriers all deduplicated away are skipped and
+        accounted as featurize-stage drops rather than raising out of
+        :meth:`poll`.
 
         An explicit *context* overrides the window-derived normalizers —
         the federated path passes the merged window's context so shard
@@ -945,9 +749,7 @@ class SensorEngine:
                     self._emit_sketch_metrics(prestage, selected)
             with span("stage.featurize") as featurize_span:
                 features = features_from_selected(
-                    window, selected, self.directory,
-                    workers=self.config.featurize_workers,
-                    context=context,
+                    window, selected, self.directory, context=context
                 )
             self._record_stage(
                 "featurize",
@@ -1117,7 +919,7 @@ class SensorEngine:
 
     def process(
         self,
-        entries: Sequence[QueryLogEntry] | Iterable[QueryLogEntry] | EntryBlock,
+        entries: Iterable[QueryLogEntry] | EntryBlock,
         start: float,
         end: float,
         classify: bool | None = None,
@@ -1126,9 +928,8 @@ class SensorEngine:
 
         Slices ``[start, end)`` into config-width windows and runs each
         through select/featurize (and classify when fitted, or when
-        *classify* is forced true).  Columnar input
-        (:class:`~repro.logstore.EntryBlock`) runs end-to-end as array
-        math, bit-identical to the per-object path.
+        *classify* is forced true).  Object input is converted to an
+        :class:`~repro.logstore.EntryBlock` first (see :meth:`windows`).
         """
         with self._scope(), span("engine.run"):
             return [

@@ -10,24 +10,17 @@ runs through it — so batch assembly is vectorized: one
 exactly once per window (shared by the window context, the static
 counts, and the dynamic features), and the per-originator math runs over
 flat int arrays (``np.bincount`` over (row, code) keys) instead of
-per-querier Python loops.  ``features_from_selected(..., workers=N)``
-additionally fans the originator rows out over a ``ProcessPoolExecutor``
-in contiguous chunks; because every row depends only on its own
-observation plus the shared :class:`WindowContext`, the parallel result
-is bit-identical to the serial one.
+per-querier Python loops.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.sensor.collection import ObservationWindow, OriginatorObservation
-from repro.sensor.directory import EnrichmentCache, QuerierDirectory, enrich_chunk
+from repro.sensor.directory import EnrichmentCache, QuerierDirectory
 from repro.sensor.dynamic import (
     DYNAMIC_FEATURE_NAMES,
     PERIOD_SECONDS,
@@ -37,7 +30,6 @@ from repro.sensor.dynamic import (
 from repro.sensor.keywords import STATIC_CATEGORIES
 from repro.sensor.selection import ANALYZABLE_THRESHOLD, analyzable
 from repro.sensor.static import STATIC_FEATURE_NAMES, static_features
-from repro.telemetry import get_registry, observe
 from repro.telemetry import span as _tspan
 
 __all__ = [
@@ -188,10 +180,7 @@ def _feature_matrix(
     """The (n_selected, 22) feature matrix, vectorized over all rows.
 
     Every observation must have at least one querier (callers filter
-    empties).  Row r depends only on ``selected[r]`` and *context*, so
-    chunking the list and concatenating the chunk matrices is
-    bit-identical to one call — the property the parallel fan-out relies
-    on.  Top-level so ``ProcessPoolExecutor`` can pickle it.
+    empties).  Row r depends only on ``selected[r]`` and *context*.
     """
     n_rows = len(selected)
     n_categories = len(STATIC_CATEGORIES)
@@ -270,153 +259,10 @@ def _feature_matrix(
     return np.hstack([static, dynamic])
 
 
-#: Shared state pool workers inherit through fork.  Task payloads carry
-#: only (lo, hi) index bounds into this state, so nothing heavy — no
-#: directory, no observations — ever crosses the IPC pipe; fork
-#: inheritance makes the hand-off zero-copy.  Set immediately before a
-#: pool starts and cleared after, so each featurize call ships its
-#: call-time state (directory mutations between windows included).
-_POOL_DIRECTORY: QuerierDirectory | None = None
-_POOL_ADDRS: np.ndarray | None = None
-_POOL_SELECTED: list[OriginatorObservation] | None = None
-_POOL_CONTEXT: WindowContext | None = None
-
-
-def _fork_pool(workers: int) -> ProcessPoolExecutor | None:
-    """A fork-context process pool, or None where fork is unavailable.
-
-    The parallel featurize path relies on fork inheritance of
-    ``_POOL_*`` state; on platforms without fork (Windows/macOS spawn)
-    callers fall back to the serial vectorized path, which is already
-    the fast one.
-    """
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-    return ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
-
-
-def _bounds(total: int, parts: int) -> list[tuple[int, int]]:
-    """At most *parts* contiguous, near-equal, non-empty [lo, hi) spans."""
-    parts = min(parts, total)
-    base, extra = divmod(total, parts)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        spans.append((start, start + size))
-        start += size
-    return spans
-
-
-def _enrichment_task(
-    bounds: tuple[int, int],
-) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]]:
-    """One enrichment chunk, with its worker-side wall time prepended."""
-    lo, hi = bounds
-    assert _POOL_DIRECTORY is not None and _POOL_ADDRS is not None
-    started = time.perf_counter()
-    chunk = enrich_chunk(_POOL_DIRECTORY, _POOL_ADDRS[lo:hi])
-    return time.perf_counter() - started, chunk
-
-
-def _feature_matrix_task(bounds: tuple[int, int]) -> tuple[float, np.ndarray]:
-    """One matrix chunk, with its worker-side wall time prepended."""
-    lo, hi = bounds
-    assert _POOL_DIRECTORY is not None and _POOL_SELECTED is not None
-    assert _POOL_CONTEXT is not None
-    started = time.perf_counter()
-    matrix = _feature_matrix(_POOL_SELECTED[lo:hi], _POOL_DIRECTORY, _POOL_CONTEXT)
-    return time.perf_counter() - started, matrix
-
-
-def _observe_chunk(kind: str, seconds: float) -> None:
-    """Record one featurize chunk's wall time (no-op without a registry)."""
-    if get_registry() is not None:
-        observe("repro_featurize_chunk_seconds", seconds,
-                help="Worker-side wall time per featurize chunk.", kind=kind)
-
-
-def _prime_parallel(
-    cache: EnrichmentCache,
-    window: ObservationWindow,
-    workers: int,
-) -> None:
-    """Resolve the window's queriers through a process pool, priming *cache*.
-
-    Querier enrichment — one directory lookup plus keyword classification
-    per distinct address — dominates featurize time, and is embarrassingly
-    parallel: workers classify contiguous spans of the unresolved
-    addresses against the (fork-inherited) raw directory, and the parent
-    installs the results in its cache.  Enrichment is deterministic per
-    address, so the cache ends up exactly as the serial path would leave
-    it (modulo internal code numbering, which never reaches feature
-    values).
-    """
-    global _POOL_DIRECTORY, _POOL_ADDRS
-    queriers: set[int] = set()
-    for observation in window.observations.values():
-        queriers |= observation.unique_queriers
-    unresolved = cache.missing(np.fromiter(queriers, np.int64, len(queriers)))
-    pool = _fork_pool(workers) if len(unresolved) >= 4 * workers else None
-    if pool is None:
-        cache.codes(unresolved)
-        return
-    _POOL_DIRECTORY = cache.directory
-    _POOL_ADDRS = unresolved
-    try:
-        with pool:
-            spans = _bounds(len(unresolved), workers)
-            for (lo, hi), (elapsed, chunk) in zip(
-                spans, pool.map(_enrichment_task, spans)
-            ):
-                _observe_chunk("enrich", elapsed)
-                cache.prime_arrays(unresolved[lo:hi], *chunk)
-    finally:
-        _POOL_DIRECTORY = None
-        _POOL_ADDRS = None
-
-
-def _parallel_feature_matrix(
-    selected: list[OriginatorObservation],
-    cache: EnrichmentCache,
-    context: WindowContext,
-    workers: int,
-) -> np.ndarray:
-    """Fan contiguous originator chunks out over a process pool.
-
-    Called with an already-primed cache, which the workers inherit warm
-    (fork happens after enrichment), so each chunk is pure array math.
-    Every row depends only on its own observation plus the shared
-    *context*, so concatenating the chunk matrices is bit-identical to
-    one serial :func:`_feature_matrix` call.  Falls back to serial where
-    fork is unavailable.
-    """
-    global _POOL_DIRECTORY, _POOL_SELECTED, _POOL_CONTEXT
-    pool = _fork_pool(workers)
-    if pool is None:
-        return _feature_matrix(selected, cache, context)
-    _POOL_DIRECTORY = cache
-    _POOL_SELECTED = selected
-    _POOL_CONTEXT = context
-    try:
-        with pool:
-            timed = list(pool.map(_feature_matrix_task, _bounds(len(selected), workers)))
-    finally:
-        _POOL_DIRECTORY = None
-        _POOL_SELECTED = None
-        _POOL_CONTEXT = None
-    for elapsed, _ in timed:
-        _observe_chunk("matrix", elapsed)
-    return np.concatenate([matrix for _, matrix in timed])
-
-
 def features_from_selected(
     window: ObservationWindow,
     selected: list[OriginatorObservation],
     directory: QuerierDirectory,
-    workers: int = 1,
     context: WindowContext | None = None,
 ) -> FeatureSet:
     """Feature vectors for an already-selected set of originators.
@@ -438,31 +284,15 @@ def features_from_selected(
     deduplicated away or a serialized observation is degenerate) are
     skipped rather than raising; callers can detect skips by comparing
     ``len(selected)`` with the result length.
-
-    With ``workers > 1`` the rows are computed in contiguous originator
-    chunks on a ``ProcessPoolExecutor``; the result is bit-identical to
-    the serial path because each row sees only its own observation plus
-    the shared window context.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
     cache = EnrichmentCache.ensure(directory)
     kept = [o for o in selected if o.footprint > 0]
-    parallel = workers > 1 and len(kept) >= 2 * workers
-    if parallel:
-        with _tspan("featurize.enrich"):
-            _prime_parallel(cache, window, workers)
     if context is None:
         context = WindowContext.from_window(window, cache)
     originators = np.array([o.originator for o in kept], dtype=np.int64)
     footprints = np.array([o.footprint for o in kept], dtype=np.int64)
-    with _tspan("featurize.matrix") as sp:
-        if parallel:
-            matrix = _parallel_feature_matrix(kept, cache, context, workers)
-        else:
-            matrix = _feature_matrix(kept, cache, context)
-    if not parallel:
-        _observe_chunk("serial", sp.elapsed)
+    with _tspan("featurize.matrix"):
+        matrix = _feature_matrix(kept, cache, context)
     return FeatureSet(
         originators=originators,
         matrix=matrix,
@@ -475,9 +305,6 @@ def extract_features(
     window: ObservationWindow,
     directory: QuerierDirectory,
     min_queriers: int = ANALYZABLE_THRESHOLD,
-    workers: int = 1,
 ) -> FeatureSet:
     """Feature vectors for every analyzable originator in the window."""
-    return features_from_selected(
-        window, analyzable(window, min_queriers), directory, workers=workers
-    )
+    return features_from_selected(window, analyzable(window, min_queriers), directory)

@@ -1,10 +1,11 @@
 """Streaming backscatter collection: the canonical windowing + dedup.
 
 This module is the **single** windowing/dedup implementation of the
-sensor.  The batch entry points (:func:`repro.sensor.collection.collect_window`
-and the batch side of :class:`repro.sensor.engine.SensorEngine`) are thin
-adapters over :class:`StreamingCollector`, so sensing semantics are
-defined exactly once, here:
+sensor.  Both sides of :class:`repro.sensor.engine.SensorEngine` — the
+batch :meth:`~repro.sensor.engine.SensorEngine.windows` and the
+streaming :meth:`~repro.sensor.engine.SensorEngine.ingest_block` — feed
+one columnar core, :meth:`StreamingCollector.ingest_arrays`, so sensing
+semantics are defined exactly once, here:
 
 * **30 s dedup, scoped to the observation window** — repeats of the same
   (querier, originator) pair within ``dedup_window`` seconds of the last
@@ -27,25 +28,27 @@ defined exactly once, here:
 * **bounded state** — dedup state lives per open window and is pruned as
   the watermark advances, so memory is O(active pairs + buffered slack),
   not O(log).
+* **finite time only** — NaN/±inf timestamps are rejected on arrival
+  (``stats.rejected``) before they can reach the high water, where a
+  single ``inf`` would otherwise late-drop every later event.
 
-These guarantees are enforced by the batch/streaming equivalence
-property tests in ``tests/test_engine.py``.
+These guarantees are enforced by the property tests in
+``tests/test_engine.py`` and ``tests/test_ingest_block.py``, which pin
+the columnar core against the per-entry reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.dnssim.message import QueryLogEntry
 from repro.logstore.ops import dedup_mask
 from repro.sensor.collection import (
     DEDUP_WINDOW_SECONDS,
     ObservationWindow,
-    OriginatorObservation,
     extend_window_arrays,
 )
 
@@ -63,8 +66,11 @@ class StreamingStats:
     ``reordered`` counts entries that arrived behind the newest-seen
     timestamp but within ``reorder_slack`` — accepted disorder, the
     reorder buffer's workload.  ``late_dropped`` counts entries beyond
-    the slack, which are dropped.  The engine publishes both (plus
-    dedup and window counts) as telemetry counters when a metrics
+    the slack, which are dropped.  ``rejected`` counts entries with a
+    non-finite (NaN/±inf) timestamp, dropped before they touch the high
+    water.  ``ingested`` counts every entry fed, so ``ingested -
+    late_dropped - rejected`` were accepted.  The engine publishes these
+    (plus dedup and window counts) as telemetry counters when a metrics
     registry is installed (``repro_stream_*_total``).
     """
 
@@ -73,6 +79,7 @@ class StreamingStats:
     late_dropped: int = 0
     reordered: int = 0
     windows_emitted: int = 0
+    rejected: int = 0
 
 
 class StreamingCollector:
@@ -134,8 +141,7 @@ class StreamingCollector:
         # Reorder buffer: (timestamp, arrival seq, querier, originator),
         # popped in time order once the watermark passes the timestamp.
         # Arrival seq breaks timestamp ties, so equal-timestamp entries
-        # always release in arrival order — chunked block ingest relies
-        # on this determinism matching the per-entry path exactly.
+        # always release in arrival order, whatever the chunking.
         self._pending: list[tuple[float, int, int, int]] = []
         self._seq = 0
         # Ingest count at the last dedup prune.  The prune cadence is a
@@ -154,9 +160,6 @@ class StreamingCollector:
 
     # ------------------------------------------------------------------
 
-    def _window_index(self, timestamp: float) -> int:
-        return int((timestamp - self.origin) // self.window_seconds)
-
     def _window_for(self, index: int) -> ObservationWindow:
         window = self._open.get(index)
         if window is None:
@@ -166,41 +169,6 @@ class StreamingCollector:
             )
             self._open[index] = window
         return window
-
-    def ingest(self, entry: QueryLogEntry) -> None:
-        """Feed one entry; may close windows as the watermark advances.
-
-        This is the thin per-object adapter over the same core the
-        columnar :meth:`ingest_block` path uses; the two are pinned
-        equivalent by property tests.
-        """
-        self.stats.ingested += 1
-        timestamp = entry.timestamp
-        if timestamp < self.origin:
-            self.stats.late_dropped += 1
-            return
-        if timestamp < self._high_water - self.reorder_slack:
-            self.stats.late_dropped += 1
-            return
-        if timestamp > self._high_water:
-            self._high_water = timestamp
-        elif timestamp < self._high_water:
-            self.stats.reordered += 1
-        if self.reorder_slack == 0:
-            # Fast path: watermark == high water, the entry is released
-            # immediately — no buffering needed.
-            self._process(timestamp, entry.querier, entry.originator)
-        else:
-            heapq.heappush(
-                self._pending,
-                (timestamp, self._seq, entry.querier, entry.originator),
-            )
-            self._seq += 1
-        self._release(self._high_water - self.reorder_slack)
-
-    def ingest_many(self, entries: Iterable[QueryLogEntry]) -> None:
-        for entry in entries:
-            self.ingest(entry)
 
     def ingest_block(self, block: "EntryBlock") -> None:
         """Feed one columnar block through the vectorized ingest core."""
@@ -212,16 +180,16 @@ class StreamingCollector:
         queriers: np.ndarray,
         originators: np.ndarray,
     ) -> None:
-        """Vectorized chunk ingest: same semantics as per-entry ``ingest``.
+        """Feed one chunk of parallel columns; may close windows.
 
-        Lateness/reorder accounting, watermark advancement, and release
-        ordering are computed as array math; the released pool is then
-        processed per window index with the columnar dedup
-        (:func:`repro.logstore.dedup_mask`) carrying the exact
-        ``_last_kept`` state across chunks.  Entries the watermark has
-        not passed are parked in the same ``(timestamp, seq, querier,
-        originator)`` heap the scalar path uses, so the two paths
-        interleave freely.
+        Non-finite timestamps are rejected first.  Lateness/reorder
+        accounting and watermark advancement are then array math over
+        the chunk: an entry is late when it falls below the origin or
+        more than ``reorder_slack`` behind the high water *before* it (a
+        running max seeded with the pre-chunk high water), so any chunk
+        split of the same stream accepts, drops, and counts the same
+        entries.  Entries the watermark has not passed are parked in the
+        reorder heap; :meth:`_release` processes the rest.
         """
         ts = np.ascontiguousarray(timestamps, dtype=np.float64)
         qs = np.ascontiguousarray(queriers, dtype=np.int64)
@@ -230,10 +198,22 @@ class StreamingCollector:
         self.stats.ingested += n
         if n == 0:
             return
+        finite = np.isfinite(ts)
+        n_rejected = n - int(np.count_nonzero(finite))
+        if n_rejected:
+            # Before the high-water math: a NaN poisons the running max
+            # and an inf would pin the watermark at infinity.
+            self.stats.rejected += n_rejected
+            if n_rejected == n:
+                return
+            ts = ts[finite]
+            qs = qs[finite]
+            os_ = os_[finite]
+            n = int(ts.size)
         # High water *before* each entry: running max shifted one, seeded
         # with the pre-chunk high water.  Late entries never update the
-        # scalar high water, and the running max is unaffected by
-        # including them (anything below the watermark is below the max).
+        # high water, and the running max is unaffected by including
+        # them (anything below the watermark is below the max).
         prev_high = self._high_water
         running = np.maximum.accumulate(ts)
         high_before = np.empty(n, dtype=np.float64)
@@ -259,6 +239,7 @@ class StreamingCollector:
         # buffered entry, or dedup horizon can be affected).
         self._high_water = max(prev_high, float(running[-1]))
         watermark = self._high_water - self.reorder_slack
+        fresh = None
         if self.reorder_slack == 0 and not self._pending:
             # In-order fast path: with zero slack every accepted entry is
             # released on arrival, and acceptance implies non-decreasing
@@ -268,35 +249,13 @@ class StreamingCollector:
             seqs = np.arange(self._seq, self._seq + ts.size, dtype=np.int64)
             self._seq += int(ts.size)
             releasable = ts <= watermark
-            held = np.flatnonzero(~releasable)
-            for i in held.tolist():
+            for i in np.flatnonzero(~releasable).tolist():
                 heapq.heappush(
                     self._pending,
                     (float(ts[i]), int(seqs[i]), int(qs[i]), int(os_[i])),
                 )
-            pool_ts = ts[releasable]
-            pool_seq = seqs[releasable]
-            pool_q = qs[releasable]
-            pool_o = os_[releasable]
-            if self._pending and self._pending[0][0] <= watermark:
-                drained = []
-                while self._pending and self._pending[0][0] <= watermark:
-                    drained.append(heapq.heappop(self._pending))
-                old_ts = np.array([d[0] for d in drained], dtype=np.float64)
-                old_seq = np.array([d[1] for d in drained], dtype=np.int64)
-                old_q = np.array([d[2] for d in drained], dtype=np.int64)
-                old_o = np.array([d[3] for d in drained], dtype=np.int64)
-                pool_ts = np.concatenate([old_ts, pool_ts])
-                pool_seq = np.concatenate([old_seq, pool_seq])
-                pool_q = np.concatenate([old_q, pool_q])
-                pool_o = np.concatenate([old_o, pool_o])
-            if pool_ts.size:
-                # Released entries process in (timestamp, arrival seq)
-                # order — identical to the scalar heap's pop order.
-                order = np.lexsort((pool_seq, pool_ts))
-                self._process_arrays(pool_ts[order], pool_q[order], pool_o[order])
-        self._emit_ready(watermark)
-        self._prune_dedup(watermark)
+            fresh = (ts[releasable], seqs[releasable], qs[releasable], os_[releasable])
+        self._release(watermark, fresh)
 
     def advance_watermark(self, timestamp: float) -> None:
         """Advance the watermark to *timestamp* without ingesting anything.
@@ -314,11 +273,36 @@ class StreamingCollector:
 
     # ------------------------------------------------------------------
 
-    def _release(self, watermark: float) -> None:
-        """Process buffered entries up to *watermark*, then emit windows."""
+    def _release(
+        self,
+        watermark: float,
+        fresh: "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None" = None,
+    ) -> None:
+        """Process everything the watermark has passed, then emit windows.
+
+        Drains buffered entries up to *watermark* from the reorder heap,
+        merges them with *fresh* — the ``(timestamps, seqs, queriers,
+        originators)`` columns of just-accepted entries that are already
+        releasable — and processes the pool in (timestamp, arrival seq)
+        order.
+        """
+        parts = [] if fresh is None else [fresh]
+        drained = []
         while self._pending and self._pending[0][0] <= watermark:
-            _ts, _seq, querier, originator = heapq.heappop(self._pending)
-            self._process(_ts, querier, originator)
+            drained.append(heapq.heappop(self._pending))
+        if drained:
+            ts, seqs, qs, os_ = zip(*drained)
+            parts.append((
+                np.array(ts, dtype=np.float64),
+                np.array(seqs, dtype=np.int64),
+                np.array(qs, dtype=np.int64),
+                np.array(os_, dtype=np.int64),
+            ))
+        if parts:
+            ts, seqs, qs, os_ = (np.concatenate(column) for column in zip(*parts))
+            if ts.size:
+                order = np.lexsort((seqs, ts))
+                self._process_arrays(ts[order], qs[order], os_[order])
         self._emit_ready(watermark)
         # Periodically prune dedup state too old to suppress anything:
         # every future processed entry has timestamp >= watermark, so a
@@ -345,7 +329,7 @@ class StreamingCollector:
             # Keep a pair only while it can still suppress: the smallest
             # timestamp any future processed entry can have is the
             # watermark, so the pair is live iff ``watermark - ts <
-            # window`` — the scalar keep predicate's exact float
+            # window`` — the dedup keep predicate's exact float
             # expression (subtraction, not a precomputed horizon, which
             # rounds differently near the boundary).
             window = self.dedup_window
@@ -363,27 +347,6 @@ class StreamingCollector:
         if self._prestage_factory is not None:
             self._prestage = self._prestage_factory()
 
-    def _process(self, timestamp: float, querier: int, originator: int) -> None:
-        """Dedup + group one entry.  Entries arrive here in time order."""
-        index = self._window_index(timestamp)
-        if index != self._dedup_index:
-            self._enter_window(index)
-        if self._prestage is not None:
-            self._process_sketched(timestamp, querier, originator, index)
-            return
-        key = (querier, originator)
-        last = self._last_kept.get(key)
-        if last is not None and timestamp - last < self.dedup_window:
-            self.stats.deduplicated += 1
-            return
-        self._last_kept[key] = timestamp
-        window = self._window_for(index)
-        observation = window.observations.get(originator)
-        if observation is None:
-            observation = OriginatorObservation(originator=originator)
-            window.observations[originator] = observation
-        observation.add(timestamp, querier)
-
     def _process_arrays(
         self, ts: np.ndarray, qs: np.ndarray, os_: np.ndarray
     ) -> None:
@@ -391,13 +354,12 @@ class StreamingCollector:
 
         Splits the pool at observation-window boundaries (timestamps are
         sorted, so the window index column is non-decreasing), resets
-        dedup scope per window exactly like the scalar path, and runs
-        the vectorized dedup with ``_last_kept`` as carry state so a
+        dedup scope per window, and runs the vectorized dedup with ``_last_kept`` as carry state so a
         window fed across many chunks dedups identically to one pass.
         Sketch mode routes each window segment through the pre-stage's
         array-native :meth:`~repro.sketch.prestage.SketchPreStage.observe_arrays`
         (vectorized dedup + two-tier promotion resolver), whose verdict
-        sequence is pinned identical to the scalar per-entry core.
+        sequence is pinned identical to the per-event reference.
         """
         if ts.size == 0:
             return
@@ -430,44 +392,18 @@ class StreamingCollector:
             window = self._window_for(index)
             extend_window_arrays(window, w_ts[mask], w_qs[mask], w_os[mask])
 
-    def _process_sketched(
-        self, timestamp: float, querier: int, originator: int, index: int
-    ) -> None:
-        """Sketch mode: summarize first, materialize only KEEP verdicts.
-
-        The pre-stage's bucketed Bloom filter takes over duplicate
-        suppression, so the exact ``_last_kept`` dict never grows — the
-        constant-memory property sketch mode exists for.
-        """
-        from repro.sketch.prestage import DEFER, DUPLICATE
-
-        verdict = self._prestage.observe(timestamp, querier, originator)
-        if verdict == DUPLICATE:
-            self.stats.deduplicated += 1
-            return
-        window = self._window_for(index)
-        if window.prestage is None:
-            window.prestage = self._prestage
-        if verdict == DEFER:
-            return
-        observation = window.observations.get(originator)
-        if observation is None:
-            observation = OriginatorObservation(originator=originator)
-            window.observations[originator] = observation
-        observation.add(timestamp, querier)
-
     def _process_sketched_arrays(
         self, ts: np.ndarray, qs: np.ndarray, os_: np.ndarray, index: int
     ) -> None:
         """Sketch mode, columnar: one window segment through the
         pre-stage's array-native verdict path.
 
-        Produces the exact per-entry verdict sequence (pinned by the
-        scalar-vs-vectorized property suite): DUPLICATEs accrue to
+        Produces the exact per-event verdict sequence (pinned by the
+        property suite against the per-event reference): DUPLICATEs accrue to
         ``stats.deduplicated`` per chunk, any non-duplicate opens the
         window and attaches the pre-stage (the first processed event of
         a fresh window can never be a duplicate — its Bloom filter is
-        empty — so window-creation timing matches the scalar path), and
+        empty — so window-creation timing matches per-event processing), and
         KEEP events materialize in first-promotion order via
         :func:`~repro.sensor.collection.extend_window_arrays`.
         """

@@ -26,8 +26,9 @@ Two operating modes share the class:
   is one-sided — an analyzable originator is dropped only if its HLL
   estimate lands below ``gate_queriers``, which the margin built into
   the gate (see ``SensorConfig.sketch_margin``) makes vanishingly rare.
-* **streaming** (single-pass): :meth:`observe` is called per event and
-  an originator is *promoted* to exact state once its estimate reaches
+* **streaming** (single-pass): :meth:`observe_arrays` is called per
+  released chunk and returns a verdict per event; an originator is
+  *promoted* to exact state once its estimate reaches
   ``promote_queriers``; events before promotion are summarized but not
   materialized, so promoted footprints can trail exact ones by at most
   the handful of pre-promotion queriers.
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.sketch.bloom import BloomFilter
 from repro.sketch.cms import CountMinSketch
-from repro.sketch.hashing import MASK64, derive_seed, mix64, mix64_array
+from repro.sketch.hashing import derive_seed, mix64_array
 from repro.sketch.hll import HllBank
 
 __all__ = [
@@ -62,14 +63,14 @@ __all__ = [
     "VERDICT_NAMES",
 ]
 
-#: :meth:`SketchPreStage.observe` verdicts.
+#: Per-event pre-stage verdicts.
 KEEP = "keep"          #: materialize this event exactly (originator promoted)
 DEFER = "defer"        #: summarized only; originator not yet promoted
 DUPLICATE = "duplicate"  #: suppressed by the 30 s dedup filter
 
-#: Integer verdicts used by the array-native :meth:`SketchPreStage.observe_arrays`
+#: Integer verdicts returned by :meth:`SketchPreStage.observe_arrays`
 #: (one ``uint8`` per event); ``VERDICT_NAMES[code]`` maps a code back to
-#: the string verdict :meth:`~SketchPreStage.observe` would have returned.
+#: its string verdict.
 KEEP_CODE = 0
 DEFER_CODE = 1
 DUPLICATE_CODE = 2
@@ -143,20 +144,12 @@ class _UniqueInts:
     array, which is what the window context wants anyway.
     """
 
-    __slots__ = ("_chunks", "_buffer", "_merged")
-    _BUFFER_LIMIT = 65_536
+    __slots__ = ("_chunks", "_merged")
     _CHUNK_LIMIT = 64
 
     def __init__(self) -> None:
         self._chunks: list[np.ndarray] = []
-        self._buffer: list[int] = []
         self._merged: np.ndarray | None = None
-
-    def add(self, value: int) -> None:
-        self._buffer.append(value)
-        self._merged = None
-        if len(self._buffer) >= self._BUFFER_LIMIT:
-            self._flush()
 
     def add_array(self, values: np.ndarray) -> None:
         if values.size == 0:
@@ -166,13 +159,7 @@ class _UniqueInts:
         if len(self._chunks) >= self._CHUNK_LIMIT:
             self._compact()
 
-    def _flush(self) -> None:
-        if self._buffer:
-            self._chunks.append(np.unique(np.array(self._buffer, dtype=np.int64)))
-            self._buffer.clear()
-
     def _compact(self) -> None:
-        self._flush()
         if self._chunks:
             self._chunks = [np.unique(np.concatenate(self._chunks))]
 
@@ -188,20 +175,13 @@ class _UniqueInts:
 
     @property
     def nbytes(self) -> int:
-        return 8 * (sum(chunk.size for chunk in self._chunks) + len(self._buffer))
-
-
-def _event_key(originator: int, querier: int, bucket: int, seed: int) -> int:
-    """64-bit dedup key of one (originator, querier, qtype, bucket) event."""
-    k = mix64(originator, seed)
-    k = mix64(k ^ (querier & MASK64), seed ^ _QTYPE_PTR)
-    return mix64(k ^ (bucket & MASK64), seed)
+        return 8 * sum(chunk.size for chunk in self._chunks)
 
 
 def _event_key_array(
     originators: np.ndarray, queriers: np.ndarray, buckets: np.ndarray, seed: int
 ) -> np.ndarray:
-    """Vectorized :func:`_event_key`; bit-identical to the scalar path."""
+    """64-bit dedup keys of (originator, querier, qtype, bucket) events."""
     k = mix64_array(originators, seed)
     k = mix64_array(k ^ queriers.astype(np.uint64), seed ^ _QTYPE_PTR)
     return mix64_array(k ^ buckets.astype(np.uint64), seed)
@@ -260,36 +240,6 @@ class SketchPreStage:
 
     # -- ingest ----------------------------------------------------------
 
-    def _bucket(self, timestamp: float) -> int:
-        dedup = self.params.dedup_seconds
-        return int(timestamp // dedup) if dedup > 0 else 0
-
-    def observe(self, timestamp: float, querier: int, originator: int) -> str:
-        """Summarize one event; returns a verdict (:data:`KEEP`,
-        :data:`DEFER`, or :data:`DUPLICATE`) telling the streaming
-        collector what to do with the exact event."""
-        self._roster.add(querier)
-        if self.params.dedup_seconds > 0:
-            key = _event_key(originator, querier, self._bucket(timestamp), self._key_seed)
-            if not self.bloom.add(key):
-                # A duplicate touches only the roster and the Bloom
-                # filter — the HLL estimates the gate is built from are
-                # unchanged, so the cache stays valid.
-                self.events_duplicate += 1
-                return DUPLICATE
-        self._gate_cache = None
-        self.events_unique += 1
-        self.counts.add(originator)
-        changed = self.uniques.add(originator, querier)
-        if originator in self._promoted:
-            return KEEP
-        if changed and self.uniques.estimate(originator) >= self.params.promote_queriers:
-            self._promoted.add(originator)
-            self._promoted_arr = None
-            return KEEP
-        self.events_deferred += 1
-        return DEFER
-
     def observe_batch(
         self,
         timestamps: np.ndarray,
@@ -300,7 +250,8 @@ class SketchPreStage:
 
         Processes in chunks: exact within-chunk dedup via ``np.unique``
         on the event key, cross-chunk dedup via the Bloom filter — the
-        same final sketch state and counters as the scalar path.
+        same final sketch state and counters as feeding the events one at
+        a time.
         """
         self._gate_cache = None
         timestamps = np.asarray(timestamps, dtype=np.float64)
@@ -317,7 +268,7 @@ class SketchPreStage:
                 keys = _event_key_array(o, q, buckets, self._key_seed)
                 _, first = np.unique(keys, return_index=True)
                 # Chronological first occurrences, so bank insertion
-                # order (and thus survivor order) matches the scalar path.
+                # order (and thus survivor order) is the events' order.
                 first.sort()
                 novel = self.bloom.add_batch(keys[first])
                 kept = first[novel]
@@ -337,11 +288,11 @@ class SketchPreStage:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ingest of aligned event arrays (streaming mode).
 
-        The array-native twin of per-event :meth:`observe`: returns
-        ``(codes, kept)`` where ``codes[i]`` is the uint8 verdict of
-        event *i* (:data:`KEEP_CODE` / :data:`DEFER_CODE` /
-        :data:`DUPLICATE_CODE` — the exact verdict sequence the scalar
-        path would produce, for any chunk split) and ``kept`` holds the
+        Returns ``(codes, kept)`` where ``codes[i]`` is the uint8 verdict
+        of event *i* (:data:`KEEP_CODE` / :data:`DEFER_CODE` /
+        :data:`DUPLICATE_CODE` — the exact verdict sequence one-event-at-
+        a-time processing would produce, for any chunk split) and
+        ``kept`` holds the
         indices of KEEP events in input order, i.e. the events the
         streaming collector materializes exactly.
 
@@ -404,7 +355,7 @@ class SketchPreStage:
         # One dict sweep resolves every originator's bank row; missing
         # rows are created in chronological first-occurrence order so the
         # per-group register updates below cannot scramble bank insertion
-        # order relative to the scalar path.
+        # order relative to one-event-at-a-time processing.
         slots = self.uniques.resolve_slots(uniq, create_order=np.argsort(ufirst))
         if self._promoted_arr is None:
             self._promoted_arr = np.fromiter(
@@ -429,7 +380,7 @@ class SketchPreStage:
         self.uniques.add_at_slots(event_slots[pending_events], q[pending_events])
         estimates, zeros = self.uniques.estimate_slots(pending_slots, with_zeros=True)
         # Tier 1b: an unpromoted originator enters the chunk with an
-        # estimate < promote_queriers (the scalar check re-runs at every
+        # estimate < promote_queriers (the per-event check re-runs at every
         # register change, which is the only time the estimate moves),
         # and no intermediate estimate inside the chunk can exceed
         # ``max(final estimate, m·ln(m / max(final zeros, 1)))``: the
@@ -450,7 +401,7 @@ class SketchPreStage:
             self.events_deferred += int(np.count_nonzero(pending_events))
             return
         # Tier 2: rewind the (few) possible crossers to their pre-chunk
-        # registers and re-run their events through the scalar promote
+        # registers and re-run their events through the per-event promote
         # check to land on the exact crossing event.
         self.resolver_replayed += int(crossers.size)
         self.uniques.write_rows_at(pending_slots[~below], snapshot[~below])

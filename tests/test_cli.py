@@ -173,8 +173,8 @@ class TestFigures:
 
 
 class TestSharedFlags:
-    """--workers / --metrics-out / --metrics-format are uniform across
-    the work-running subcommands."""
+    """--metrics-out / --metrics-format are uniform across the
+    work-running subcommands."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -187,16 +187,13 @@ class TestSharedFlags:
     )
     def test_uniform_flags_accepted(self, argv):
         args = build_parser().parse_args(
-            argv
-            + ["--workers", "2", "--metrics-out", "m.prom", "--metrics-format", "prom"]
+            argv + ["--metrics-out", "m.prom", "--metrics-format", "prom"]
         )
-        assert args.workers == 2
         assert args.metrics_out == "m.prom"
         assert args.metrics_format == "prom"
 
     def test_flags_default_off(self):
         args = build_parser().parse_args(["figures"])
-        assert args.workers == 1
         assert args.metrics_out is None
         assert args.metrics_format is None
 
@@ -278,7 +275,6 @@ class TestMetricsSnapshots:
         saved = {
             key: os.environ.pop(key, None)
             for key in (
-                "REPRO_FEATURIZE_WORKERS",
                 "REPRO_METRICS_OUT",
                 "REPRO_METRICS_FORMAT",
             )
@@ -287,12 +283,10 @@ class TestMetricsSnapshots:
             out = tmp_path / "m.jsonl"
             code = main([
                 "experiments", "--list",
-                "--workers", "2",
                 "--metrics-out", str(out),
                 "--metrics-format", "jsonl",
             ])
             assert code == 0
-            assert os.environ["REPRO_FEATURIZE_WORKERS"] == "2"
             assert os.environ["REPRO_METRICS_OUT"] == str(out)
             assert os.environ["REPRO_METRICS_FORMAT"] == "jsonl"
         finally:

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dnssim.message import QueryLogEntry
+from repro.logstore import EntryBlock
 from repro.netmodel.world import NameStatus
-from repro.sensor.collection import collect_window
 from repro.sensor.directory import QuerierInfo, StaticDirectory
 from repro.sensor.engine import (
     STAGE_NAMES,
@@ -27,10 +27,17 @@ from repro.sensor.engine import (
     StageStats,
 )
 from repro.sensor.streaming import StreamingCollector
+from tests.oracles import collect_window
 
 
 def entry(ts: float, querier: int = 1, originator: int = 2) -> QueryLogEntry:
     return QueryLogEntry(timestamp=ts, querier=querier, originator=originator)
+
+
+def feed(collector: StreamingCollector, entries) -> None:
+    """Feed entries one block each — the streaming arrival pattern."""
+    for e in entries:
+        collector.ingest_block(EntryBlock.from_entries([e]))
 
 
 def named_directory(queriers: range) -> StaticDirectory:
@@ -177,7 +184,8 @@ class TestStageStats:
 
 class TestBatchStreamingEquivalence:
     """The unified-path guarantee: StreamingCollector windows are exactly
-    what collect_window produces for the same boundaries."""
+    what the scalar ``collect_window`` reference produces for the same
+    boundaries."""
 
     @staticmethod
     def assert_windows_match(streamed, entries):
@@ -198,7 +206,7 @@ class TestBatchStreamingEquivalence:
         # sides keep their first query.
         entries = [entry(95.0), entry(98.0), entry(101.0), entry(104.0)]
         collector = StreamingCollector(window_seconds=100.0, reorder_slack=0.0)
-        collector.ingest_many(entries)
+        feed(collector, entries)
         streamed = collector.flush()
         assert [len(w) for w in streamed] == [1, 1]
         first, second = streamed
@@ -218,7 +226,7 @@ class TestBatchStreamingEquivalence:
             entry(108.0, querier=2),
         ]
         collector = StreamingCollector(window_seconds=100.0, reorder_slack=5.0)
-        collector.ingest_many(shuffled)
+        feed(collector, shuffled)
         streamed = collector.flush()
         ordered = sorted(shuffled, key=lambda e: e.timestamp)
         self.assert_windows_match(streamed, ordered)
@@ -246,7 +254,7 @@ class TestBatchStreamingEquivalence:
         """
         entries = [entry(t, q, o) for t, q, o in sorted(raw, key=lambda r: r[0])]
         collector = StreamingCollector(window_seconds=250.0, reorder_slack=slack)
-        collector.ingest_many(entries)
+        feed(collector, entries)
         streamed = collector.flush()
         self.assert_windows_match(streamed, entries)
 
@@ -277,7 +285,7 @@ class TestBatchStreamingEquivalence:
             )
         ]
         collector = StreamingCollector(window_seconds=250.0, reorder_slack=slack)
-        collector.ingest_many(arrival)
+        feed(collector, arrival)
         assert collector.stats.late_dropped == 0
         streamed = collector.flush()
         ordered = sorted(arrival, key=lambda e: e.timestamp)

@@ -351,7 +351,7 @@ class TestStreamingEquivalence:
         entries = synthetic_entries()
         engine = SensorEngine(directory, config)
         for e in entries:
-            engine.ingest(e)
+            engine.ingest_block(EntryBlock.from_entries([e]))
         expected = engine.poll(classify=False) + engine.finish(classify=False)
         block = EntryBlock.from_entries(entries)
         with FederatedSensor(

@@ -1,13 +1,14 @@
-"""Block ingest == object ingest, end to end.
+"""Block ingest == per-entry semantics, end to end.
 
 Property tests pinning the array ingest plane's central contract: feeding
 the pipeline columnar :class:`~repro.logstore.EntryBlock` chunks produces
-**bit-identical** windows, observation order, and stats to the historical
-per-object paths — on adversarial logs with timestamp ties, window-
-boundary straddles, disorder within the reorder slack, and strictly-late
-drops.  Also pins the satellite behaviors that ride along: upfront order
-validation in ``collect_window``, the lazily-cached unique-querier view,
-and deterministic arrival-order release of reorder-buffer ties.
+**bit-identical** windows, observation order, and stats to the per-entry
+references in ``tests/oracles.py`` — on adversarial logs with timestamp
+ties, window-boundary straddles, disorder within the reorder slack, and
+strictly-late drops.  Also pins: object input converted at the API
+boundary matches block input, upfront order validation in
+``SensorEngine.collect``, the lazily-cached unique-querier view, and
+deterministic arrival-order release of reorder-buffer ties.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ from hypothesis import strategies as st
 
 from repro.dnssim.message import QueryLogEntry
 from repro.logstore import EntryBlock
-from repro.sensor.collection import (
-    OriginatorObservation,
-    collect_window,
-)
+from repro.sensor.collection import OriginatorObservation
 from repro.sensor.engine import SensorConfig, SensorEngine
 from repro.sensor.streaming import StreamingCollector
+from repro.sketch.prestage import SketchPreStage
+from tests.oracles import ScalarCollector, collect_window, observe
+
+
+def engine_collect(entries, start, end, dedup_window=30.0):
+    config = SensorConfig(dedup_window=dedup_window)
+    return SensorEngine(config=config).collect(entries, start, end)
 
 
 def make_entries(rows):
@@ -72,9 +77,11 @@ class TestCollectWindowBlock:
         rows.sort(key=lambda r: r[0])
         entries = make_entries(rows)
         block = EntryBlock.from_entries(entries)
-        via_objects = collect_window(entries, 0.0, 100.0, dedup_window)
-        via_block = collect_window(block, 0.0, 100.0, dedup_window)
-        assert window_signature(via_block) == window_signature(via_objects)
+        reference = collect_window(entries, 0.0, 100.0, dedup_window)
+        via_objects = engine_collect(entries, 0.0, 100.0, dedup_window)
+        via_block = engine_collect(block, 0.0, 100.0, dedup_window)
+        assert window_signature(via_block) == window_signature(reference)
+        assert window_signature(via_objects) == window_signature(reference)
 
     @given(rows_strategy)
     @settings(max_examples=100, deadline=None)
@@ -84,34 +91,36 @@ class TestCollectWindowBlock:
         block = EntryBlock.from_entries(entries)
         # A window interval strictly inside the data span: out-of-range
         # entries on both sides must be filtered before dedup.
-        via_objects = collect_window(entries, 20.0, 60.0)
-        via_block = collect_window(block, 20.0, 60.0)
-        assert window_signature(via_block) == window_signature(via_objects)
+        reference = collect_window(entries, 20.0, 60.0)
+        via_objects = engine_collect(entries, 20.0, 60.0)
+        via_block = engine_collect(block, 20.0, 60.0)
+        assert window_signature(via_block) == window_signature(reference)
+        assert window_signature(via_objects) == window_signature(reference)
         for obs in via_block.observations.values():
             assert all(20.0 <= t < 60.0 for t in obs.timestamps)
 
     def test_unsorted_input_raises_before_building_state(self):
-        """Regression (satellite): unsorted in-range input used to raise
+        """Regression: unsorted in-range input used to raise
         mid-iteration, after part of the window was already built; order
-        is now validated upfront for both input forms."""
+        is validated upfront for both input forms."""
         entries = make_entries([(5.0, 1, 1), (3.0, 2, 2), (7.0, 3, 3)])
         with pytest.raises(ValueError, match="not time-ordered"):
-            collect_window(entries, 0.0, 10.0)
+            engine_collect(entries, 0.0, 10.0)
         with pytest.raises(ValueError, match="not time-ordered"):
-            collect_window(EntryBlock.from_entries(entries), 0.0, 10.0)
+            engine_collect(EntryBlock.from_entries(entries), 0.0, 10.0)
 
     def test_unsorted_outside_range_is_harmless(self):
         # Disorder confined to out-of-range entries doesn't affect the
         # window and is not an error.
         entries = make_entries([(50.0, 1, 1), (2.0, 2, 2), (5.0, 3, 3)])
-        window = collect_window(entries, 4.0, 10.0)
+        window = engine_collect(entries, 4.0, 10.0)
         assert len(window) == 1
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError, match="end must be after start"):
-            collect_window([], 10.0, 10.0)
+            engine_collect([], 10.0, 10.0)
         with pytest.raises(ValueError, match="non-negative"):
-            collect_window([], 0.0, 10.0, dedup_window=-1.0)
+            engine_collect([], 0.0, 10.0, dedup_window=-1.0)
 
 
 class TestStreamingBlockEquivalence:
@@ -124,9 +133,8 @@ class TestStreamingBlockEquivalence:
     def test_chunked_block_matches_per_entry(self, rows, slack, chunk):
         """Same stream (disorder, late drops, ties and all) fed both ways."""
         entries = make_entries(rows)
-        scalar = StreamingCollector(20.0, reorder_slack=slack)
-        for entry in entries:
-            scalar.ingest(entry)
+        scalar = ScalarCollector(20.0, reorder_slack=slack)
+        scalar.ingest_many(entries)
         scalar_windows = scalar.completed_windows() + scalar.flush()
 
         block = StreamingCollector(20.0, reorder_slack=slack)
@@ -142,21 +150,20 @@ class TestStreamingBlockEquivalence:
     @given(rows_strategy, st.integers(min_value=1, max_value=5))
     @settings(max_examples=100, deadline=None)
     def test_interleaving_scalar_and_block_ingest(self, rows, chunk):
-        """The two ingest forms share one collector state machine."""
+        """One-entry and multi-entry blocks share one state machine."""
         entries = make_entries(rows)
-        reference = StreamingCollector(20.0, reorder_slack=2.0)
-        for entry in entries:
-            reference.ingest(entry)
+        reference = ScalarCollector(20.0, reorder_slack=2.0)
+        reference.ingest_many(entries)
         mixed = StreamingCollector(20.0, reorder_slack=2.0)
-        scalar_turn = True
+        single_turn = True
         for lo in range(0, len(entries), chunk):
             part = entries[lo : lo + chunk]
-            if scalar_turn:
+            if single_turn:
                 for entry in part:
-                    mixed.ingest(entry)
+                    mixed.ingest_block(EntryBlock.from_entries([entry]))
             else:
                 mixed.ingest_block(EntryBlock.from_entries(part))
-            scalar_turn = not scalar_turn
+            single_turn = not single_turn
         assert [window_signature(w) for w in mixed.flush()] == [
             window_signature(w) for w in reference.flush()
         ]
@@ -178,13 +185,31 @@ class TestStreamingBlockEquivalence:
 
     def test_late_drops_counted_identically(self):
         rows = [(30.0, 1, 1), (5.0, 2, 2), (31.0, 3, 3)]  # 5.0 is > slack late
-        scalar = StreamingCollector(20.0, reorder_slack=2.0)
-        for entry in make_entries(rows):
-            scalar.ingest(entry)
+        scalar = ScalarCollector(20.0, reorder_slack=2.0)
+        scalar.ingest_many(make_entries(rows))
         block = StreamingCollector(20.0, reorder_slack=2.0)
         block.ingest_block(EntryBlock.from_entries(make_entries(rows)))
         assert scalar.stats.late_dropped == block.stats.late_dropped == 1
         assert stats_signature(block.stats) == stats_signature(scalar.stats)
+
+
+def reference_windows(entries, config, start, end):
+    """Batch windows entry by entry: per-window range filter, the sketch
+    gate fed one event at a time (sketch mode), then scalar collection."""
+    windows = []
+    lo = start
+    while lo < end:
+        hi = min(lo + config.window_seconds, end)
+        in_window = [e for e in entries if lo <= e.timestamp < hi]
+        if config.sketch_enabled:
+            prestage = SketchPreStage(config.sketch_params())
+            for e in in_window:
+                observe(prestage, e.timestamp, e.querier, e.originator)
+            survivors = set(prestage.survivors().tolist())
+            in_window = [e for e in in_window if e.originator in survivors]
+        windows.append(collect_window(in_window, lo, hi, config.dedup_window))
+        lo += config.window_seconds
+    return windows
 
 
 class TestEngineBlockEquivalence:
@@ -206,13 +231,14 @@ class TestEngineBlockEquivalence:
             sketch_enabled=sketch,
             sketch_capacity=4 * n,
         )
+        reference = reference_windows(entries, config, 0.0, 80.0)
         via_objects = SensorEngine(config=config).windows(entries, 0.0, 80.0)
         via_block = SensorEngine(config=config).windows(
             EntryBlock.from_entries(entries), 0.0, 80.0
         )
-        assert [window_signature(w) for w in via_block] == [
-            window_signature(w) for w in via_objects
-        ]
+        expected = [window_signature(w) for w in reference]
+        assert [window_signature(w) for w in via_block] == expected
+        assert [window_signature(w) for w in via_objects] == expected
 
     def test_windows_rejects_unsorted_block(self):
         block = EntryBlock.from_entries(make_entries([(5.0, 1, 1), (3.0, 2, 2)]))

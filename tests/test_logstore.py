@@ -2,7 +2,7 @@
 
 The dedup_mask property tests pin the tentpole contract of the array
 ingest plane: the vectorized keep-mask is **bit-identical** to the
-scalar :func:`repro.sensor.collection.dedup_entries` reference on every
+scalar ``dedup_entries`` reference (``tests/oracles.py``) on every
 log, including tie-heavy, coarse-timestamp, and chunked-with-carry
 replays.
 """
@@ -25,7 +25,7 @@ from repro.logstore import (
     load_block,
     save_block,
 )
-from repro.sensor.collection import dedup_entries
+from tests.oracles import dedup_entries
 
 
 def make_entries(rows):

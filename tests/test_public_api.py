@@ -118,11 +118,3 @@ def test_top_level_reexports_are_consistent():
     assert repro.MetricsRegistry is repro.telemetry.MetricsRegistry
     assert repro.write_metrics is repro.telemetry.write_metrics
     assert repro.span is repro.telemetry.span
-
-
-def test_removed_shim_raises_on_construction():
-    """BackscatterPipeline stays importable but hard-fails with migration help."""
-    assert "BackscatterPipeline" in repro.sensor.__all__
-    assert "BackscatterPipeline" in repro.__all__
-    with pytest.raises(RuntimeError, match="SensorEngine"):
-        repro.sensor.BackscatterPipeline(None)

@@ -1,4 +1,9 @@
-"""Tests for dedup and observation-window grouping (§ III-A/B)."""
+"""Tests for dedup and observation-window grouping (§ III-A/B).
+
+``TestDedup`` pins the scalar dedup reference (``tests/oracles.py``) that
+the columnar dedup is property-tested against; ``TestCollectWindow``
+runs the production batch path, :meth:`SensorEngine.collect`.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dnssim.message import QueryLogEntry
-from repro.sensor.collection import (
-    DEDUP_WINDOW_SECONDS,
-    ObservationWindow,
-    collect_window,
-    dedup_entries,
-)
+from repro.sensor.collection import DEDUP_WINDOW_SECONDS, ObservationWindow
+from repro.sensor.engine import SensorEngine
+from tests.oracles import dedup_entries
 
 
 def entry(ts: float, querier: int = 1, originator: int = 2) -> QueryLogEntry:
     return QueryLogEntry(timestamp=ts, querier=querier, originator=originator)
+
+
+def collect_window(entries, start: float, end: float) -> ObservationWindow:
+    return SensorEngine().collect(entries, start, end)
 
 
 class TestDedup:

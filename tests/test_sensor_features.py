@@ -21,7 +21,6 @@ from repro.sensor.features import (
     feature_vector,
     features_from_selected,
 )
-from repro.sensor.selection import analyzable
 from repro.sensor.static import STATIC_FEATURE_NAMES, static_features
 
 
@@ -311,32 +310,6 @@ class TestFeatureSetOrdering:
 
 
 class TestParallelFeaturize:
-    @settings(max_examples=5, deadline=None)
-    @given(st.data())
-    def test_workers4_bit_identical_to_serial(self, data):
-        n_origs = data.draw(st.integers(3, 12), label="n_origs")
-        directory = make_directory(
-            {a: (f"host{a}.x.com", a % 9, ["us", "jp", "de"][a % 3]) for a in range(1, 120)}
-        )
-        observations = []
-        for i in range(n_origs):
-            pairs = data.draw(
-                st.lists(
-                    st.tuples(st.floats(0, 86000), st.integers(1, 119)),
-                    min_size=1,
-                    max_size=25,
-                ),
-                label=f"obs{i}",
-            )
-            observations.append(observation(1000 + i, sorted(pairs)))
-        window = window_with(observations)
-        selected = analyzable(window, 1)
-        serial = features_from_selected(window, selected, directory, workers=1)
-        parallel = features_from_selected(window, selected, directory, workers=4)
-        np.testing.assert_array_equal(serial.originators, parallel.originators)
-        np.testing.assert_array_equal(serial.footprints, parallel.footprints)
-        np.testing.assert_array_equal(serial.matrix, parallel.matrix)
-
     def test_cache_is_window_scoped_not_global(self):
         # Mutating the directory between featurize calls must be picked
         # up: each call builds a fresh window-scoped cache.
@@ -374,10 +347,3 @@ class TestParallelFeaturize:
         )
         after = features_from_selected(window, [obs], cache)
         np.testing.assert_array_equal(before.matrix, after.matrix)
-
-    def test_workers_must_be_positive(self):
-        directory = make_directory({1: ("a.x.com", 1, "us")})
-        obs = observation(9, [(0.0, 1)])
-        window = window_with([obs])
-        with pytest.raises(ValueError):
-            features_from_selected(window, [obs], directory, workers=0)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.activity import APPLICATION_CLASSES, SimulationEngine, build_campaign
 from repro.sensor import (
-    BackscatterPipeline,
     LabeledExample,
     LabeledSet,
     SensorConfig,
@@ -192,13 +191,3 @@ class TestPipeline:
         stranger = LabeledSet.from_pairs([(1, "spam")])
         with pytest.raises(ValueError):
             engine.fit(features, stranger)
-
-
-class TestRemovedShim:
-    def test_backscatter_pipeline_raises_with_migration(self, small_world):
-        from repro.sensor import WorldDirectory
-
-        with pytest.raises(RuntimeError, match="SensorEngine"):
-            BackscatterPipeline(WorldDirectory(small_world), majority_runs=3)
-        with pytest.raises(RuntimeError, match="docs/API.md"):
-            BackscatterPipeline()

@@ -22,8 +22,17 @@ from repro.netmodel.world import NameStatus
 from repro.sensor.directory import QuerierInfo, StaticDirectory
 from repro.sensor.engine import SensorConfig, SensorEngine
 from repro.sensor.selection import analyzable
-from repro.sketch.prestage import DEFER, DUPLICATE, KEEP, SketchParams, SketchPreStage
+from repro.logstore import EntryBlock
+from repro.sketch.prestage import (
+    DEFER,
+    DUPLICATE,
+    KEEP,
+    VERDICT_NAMES,
+    SketchParams,
+    SketchPreStage,
+)
 from repro.telemetry import MetricsRegistry
+from tests.oracles import observe
 
 WINDOW = 3600.0
 
@@ -233,7 +242,7 @@ class TestStreamingMode:
         sketch_engine = SensorEngine(config=config)
         exact_win = exact_engine.windows(entries, 0.0, WINDOW)[0]
         for entry in entries:
-            sketch_engine.ingest(entry)
+            sketch_engine.ingest_block(EntryBlock.from_entries([entry]))
         sketch_win = sketch_engine.finish(classify=False)[0].window
         prestage = sketch_win.prestage
         assert prestage is not None
@@ -251,14 +260,21 @@ class TestStreamingMode:
     def test_observe_verdicts(self):
         params = SketchParams(promote_queriers=2, gate_queriers=2, capacity=1024)
         prestage = SketchPreStage(params)
-        assert prestage.observe(0.0, querier=1, originator=9) == DEFER
-        assert prestage.observe(1.0, querier=1, originator=9) == DUPLICATE
-        verdict = prestage.observe(2.0, querier=2, originator=9)
+
+        def verdict_of(t: float, querier: int, originator: int) -> str:
+            codes, _ = prestage.observe_arrays(
+                np.array([t]), np.array([querier]), np.array([originator])
+            )
+            return VERDICT_NAMES[int(codes[0])]
+
+        assert verdict_of(0.0, 1, 9) == DEFER
+        assert verdict_of(1.0, 1, 9) == DUPLICATE
+        verdict = verdict_of(2.0, 2, 9)
         assert verdict in (KEEP, DEFER)  # estimate crosses 2 modulo HLL collisions
         for q in range(3, 20):
-            verdict = prestage.observe(float(q), querier=q, originator=9)
+            verdict = verdict_of(float(q), q, 9)
         assert prestage.is_promoted(9)
-        assert prestage.observe(30.5, querier=1, originator=9) in (KEEP, DUPLICATE)
+        assert verdict_of(30.5, 1, 9) in (KEEP, DUPLICATE)
 
 
 class TestTelemetry:
@@ -348,7 +364,7 @@ class TestPreStageProperties:
         params = SketchParams(gate_queriers=3, promote_queriers=3, capacity=4096, seed=int(seed))
         scalar = SketchPreStage(params)
         for t, q, o in zip(timestamps, queriers, originators):
-            scalar.observe(float(t), int(q), int(o))
+            observe(scalar, float(t), int(q), int(o))
         batch = SketchPreStage(params)
         batch.observe_batch(timestamps, queriers, originators)
         assert scalar.events_unique == batch.events_unique

@@ -1,11 +1,12 @@
-"""Vectorized streaming sketch == scalar streaming sketch.
+"""Vectorized streaming sketch == per-event streaming sketch.
 
 Property suite for the array-native ``SketchPreStage.observe_arrays``
 path (vectorized dedup + two-tier promotion resolver) and the collector
 plumbing above it: verdict sequence, promoted set, roster, dedup/defer
 counters, and emitted window contents must match the per-event
-``observe()`` path exactly, for any chunk split — including chunks that
-straddle window boundaries and reorder-slack replays.  Also pins the
+reference (``tests/oracles.py``: ``observe`` and ``ScalarCollector``)
+exactly, for any chunk split — including chunks that straddle window
+boundaries and reorder-slack replays.  Also pins the
 satellites that ride along: the gate-cache fix (a DUPLICATE verdict no
 longer invalidates the cached gate), the ``HllBank`` batched
 subset-estimate / snapshot helpers the resolver is built on, and the
@@ -31,6 +32,15 @@ from repro.sketch.prestage import (
     SketchParams,
     SketchPreStage,
 )
+from tests.oracles import ScalarCollector, observe
+
+
+def observe_one(p: SketchPreStage, t: float, q: int, o: int) -> str:
+    """One event through the production array path; its verdict name."""
+    codes, _ = p.observe_arrays(
+        np.array([t]), np.array([q], dtype=np.int64), np.array([o], dtype=np.int64)
+    )
+    return VERDICT_NAMES[int(codes[0])]
 
 
 def make_entries(rows):
@@ -121,7 +131,7 @@ class TestObserveArraysEquivalence:
         linear-counting/raw switch is most erratic."""
         params = params_for(promote, precision=precision, dedup=dedup)
         scalar = SketchPreStage(params)
-        verdicts = [scalar.observe(t, q, o) for t, q, o in events]
+        verdicts = [observe(scalar, t, q, o) for t, q, o in events]
 
         vec = SketchPreStage(params)
         ts = np.array([e[0] for e in events], dtype=np.float64)
@@ -181,7 +191,7 @@ class TestObserveArraysEquivalence:
             np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         )
         assert codes.size == 0 and kept.size == 0
-        p.observe(10.0, 1, 2)
+        observe_one(p, 10.0, 1, 2)
         before = prestage_signature(p)
         codes, kept = p.observe_arrays(
             np.array([11.0, 12.0]),
@@ -198,17 +208,17 @@ class TestObserveArraysEquivalence:
 
 class TestGateCacheFix:
     def test_duplicate_preserves_gate_cache(self):
-        """Satellite regression: observe() used to invalidate the cached
-        gate before the Bloom duplicate check, so duplicate storms forced
-        a full estimate_all sweep per survivors() call."""
+        """Regression: a duplicate-only chunk must not invalidate the
+        cached gate, or duplicate storms force a full estimate_all sweep
+        per survivors() call."""
         p = SketchPreStage(params_for(1))
-        p.observe(0.0, 1, 9)
+        observe_one(p, 0.0, 1, 9)
         p.survivors()  # warm the cache
         assert p._gate_cache is not None
-        assert p.observe(1.0, 1, 9) == DUPLICATE  # same 30 s bucket
+        assert observe_one(p, 1.0, 1, 9) == DUPLICATE  # same 30 s bucket
         assert p._gate_cache is not None
         # A non-duplicate event does invalidate.
-        assert p.observe(2.0, 2, 9) != DUPLICATE
+        assert observe_one(p, 2.0, 2, 9) != DUPLICATE
         assert p._gate_cache is None
 
 
@@ -298,6 +308,13 @@ class TestStreamingCollectorSketchEquivalence:
             prestage_factory=lambda: SketchPreStage(params_for(promote)),
         )
 
+    def _reference(self, slack: float, promote: int) -> ScalarCollector:
+        return ScalarCollector(
+            20.0,
+            reorder_slack=slack,
+            prestage_factory=lambda: SketchPreStage(params_for(promote)),
+        )
+
     @given(
         rows_strategy,
         st.sampled_from([0.0, 2.0, 5.0]),
@@ -312,9 +329,8 @@ class TestStreamingCollectorSketchEquivalence:
         and all) fed per entry vs in chunks — windows, attached pre-stage
         state, rosters, and stats must all match."""
         entries = make_entries(rows)
-        scalar = self._collector(slack, promote)
-        for entry in entries:
-            scalar.ingest(entry)
+        scalar = self._reference(slack, promote)
+        scalar.ingest_many(entries)
         scalar_windows = scalar.completed_windows() + scalar.flush()
 
         block = self._collector(slack, promote)
@@ -330,21 +346,20 @@ class TestStreamingCollectorSketchEquivalence:
     @given(rows_strategy, st.integers(min_value=1, max_value=5))
     @settings(max_examples=75, deadline=None)
     def test_interleaving_scalar_and_block_sketch_ingest(self, rows, chunk):
-        """The two ingest forms share one sketched state machine."""
+        """One-entry and multi-entry blocks share one sketched state machine."""
         entries = make_entries(rows)
-        reference = self._collector(2.0, 2)
-        for entry in entries:
-            reference.ingest(entry)
+        reference = self._reference(2.0, 2)
+        reference.ingest_many(entries)
         mixed = self._collector(2.0, 2)
-        scalar_turn = True
+        single_turn = True
         for lo in range(0, len(entries), chunk):
             part = entries[lo : lo + chunk]
-            if scalar_turn:
+            if single_turn:
                 for entry in part:
-                    mixed.ingest(entry)
+                    mixed.ingest_block(EntryBlock.from_entries([entry]))
             else:
                 mixed.ingest_block(EntryBlock.from_entries(part))
-            scalar_turn = not scalar_turn
+            single_turn = not single_turn
         assert [window_signature(w) for w in mixed.flush()] == [
             window_signature(w) for w in reference.flush()
         ]
@@ -364,9 +379,8 @@ class TestStreamingCollectorSketchEquivalence:
             )
         )
         entries = make_entries(rows)
-        scalar = self._collector(0.0, 4)
-        for entry in entries:
-            scalar.ingest(entry)
+        scalar = self._reference(0.0, 4)
+        scalar.ingest_many(entries)
         scalar_windows = scalar.flush()
         block = self._collector(0.0, 4)
         for lo in range(0, len(entries), chunk):
